@@ -141,4 +141,8 @@ grep -Eq "^  node +0 .*1\.000$" target/congestion_2nic.out
 # Bound-gap telemetry: the node level is NIC-bound, so its gap is ~0.
 grep -Eq "^  node .* 0\.000 +0\.0%$" target/congestion_1nic.out
 
+echo "== fig8_splatt reproduction (regenerates results/fig8_splatt.txt byte-for-byte)"
+cargo run -q --release -p mre-bench --bin fig8_splatt > target/fig8_splatt.out
+cmp target/fig8_splatt.out results/fig8_splatt.txt
+
 echo "== CI OK"

@@ -156,7 +156,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    if machine.size() % subcomm != 0 {
+    if subcomm == 0 || !machine.size().is_multiple_of(subcomm) {
         eprintln!(
             "subcommunicator size {subcomm} must divide {}",
             machine.size()

@@ -15,12 +15,19 @@
 //! 3. **Pooled ≡ fresh**: costing through a dirty, much-reused
 //!    thread-local workspace is bit-identical to costing on a brand-new
 //!    thread whose workspace has never been touched.
+//! 4. **Relabelled memo ≡ direct**: a profile served by the solver-input
+//!    keyed profile tier — often solved for a *different* round that
+//!    interns to the same input — is bit-identical to `round_profile`.
+//! 5. **Dense load ≡ set oracle**: the stamp-deduplicated `RoundLoad`
+//!    equals one built with a `HashSet` of `(level, instance, up, rail)`
+//!    link tuples.
 //!
 //! A counting global allocator (gated to the measuring thread, so the
 //! parallel test harness cannot pollute the count) then asserts the
 //! steady-state claim: after warm-up, costing a candidate through the
-//! memo and evaluating the symbolic envelope perform **zero** heap
-//! allocations.
+//! memo, serving a relabelled round from the profile tier, evaluating
+//! round bounds and evaluating the symbolic envelope perform **zero**
+//! heap allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -31,8 +38,8 @@ use mre_core::{Hierarchy, Permutation};
 use mre_mpi::{AllgatherAlg, AllreduceAlg, AlltoallAlg};
 use mre_simnet::presets::hydra_network_rails;
 use mre_simnet::{
-    thread_workspace_rounds, ContentionMode, NetworkModel, RailPolicy, Schedule, SharedCostCache,
-    SymbolicScheduleCost,
+    thread_workspace_rounds, ContentionMode, Message, NetworkModel, RailPolicy, Round, RoundLoad,
+    Schedule, SharedCostCache, SymbolicScheduleCost,
 };
 use mre_workloads::microbench::{Collective, Microbench};
 
@@ -126,20 +133,32 @@ fn policies() -> [RailPolicy; 3] {
 
 /// The candidate's merged lockstep schedule on the identity order.
 fn merged(machine: &Hierarchy, collective: Collective, bytes: u64, nics: usize) -> Schedule {
+    merged_for(
+        machine,
+        &Permutation::identity(machine.depth()),
+        collective,
+        bytes,
+        nics,
+    )
+}
+
+/// The merged lockstep schedule of order `sigma`.
+fn merged_for(
+    machine: &Hierarchy,
+    sigma: &Permutation,
+    collective: Collective,
+    bytes: u64,
+    nics: usize,
+) -> Schedule {
     let b = Microbench {
         machine: machine.clone(),
-        order: Permutation::identity(machine.depth()),
+        order: sigma.clone(),
         subcomm_size: SUBCOMM,
         collective,
         total_bytes: bytes,
     };
-    let layout = subcommunicators(
-        machine,
-        &Permutation::identity(machine.depth()),
-        SUBCOMM,
-        ColorScheme::Quotient,
-    )
-    .expect("valid configuration");
+    let layout = subcommunicators(machine, sigma, SUBCOMM, ColorScheme::Quotient)
+        .expect("valid configuration");
     let jobs: Vec<Schedule> = (0..layout.count())
         .map(|c| b.schedule_for_rails(layout.members(c), nics))
         .collect();
@@ -292,6 +311,147 @@ fn pooled_workspace_is_bit_identical_to_fresh_threads() {
     }
 }
 
+/// A packed, a spread and a mixed order: different endpoints, many
+/// rounds that are relabellings of one another.
+fn probe_orders() -> Vec<Permutation> {
+    ["0-1-2-3", "3-2-1-0", "1-3-0-2"]
+        .iter()
+        .map(|o| Permutation::parse(o).expect("static order"))
+        .collect()
+}
+
+fn assert_profile_bits(a: &mre_simnet::RoundProfile, b: &mre_simnet::RoundProfile, what: &str) {
+    assert_eq!(a.crossing, b.crossing, "{what}: crossing levels");
+    assert_eq!(a.entries.len(), b.entries.len(), "{what}: entry count");
+    for (x, y) in a.entries.iter().zip(&b.entries) {
+        assert_eq!(x.0.to_bits(), y.0.to_bits(), "{what}: latency");
+        assert_eq!(x.1.to_bits(), y.1.to_bits(), "{what}: rate");
+    }
+}
+
+#[test]
+fn relabelled_profile_memo_is_bit_identical_across_the_full_product() {
+    let mut solves = 0u64;
+    let mut endpoint_patterns = 0usize;
+    for mode in [ContentionMode::MaxMinFair, ContentionMode::EqualShare] {
+        for nics in [1usize, 2, 4] {
+            for policy in policies() {
+                let net = fabric(nics, policy, mode);
+                let machine = net.hierarchy().clone();
+                let cache = SharedCostCache::new();
+                let mut patterns = std::collections::HashSet::new();
+                for collective in generators() {
+                    for sigma in probe_orders() {
+                        let m = merged_for(&machine, &sigma, collective, REF_PAYLOAD, nics);
+                        for round in &m.rounds {
+                            patterns.insert(round.endpoint_fingerprint());
+                            let memo = cache.round_profile_memo(&net, round);
+                            let direct = net.round_profile(&round.messages);
+                            assert_profile_bits(
+                                &memo,
+                                &direct,
+                                &format!(
+                                    "{collective:?}, {sigma}, {mode:?}, {nics} rails, {policy}"
+                                ),
+                            );
+                            assert_eq!(
+                                memo.time(&round.messages).to_bits(),
+                                net.round_time(&round.messages).to_bits()
+                            );
+                        }
+                    }
+                }
+                solves += cache.cache_stats().misses;
+                endpoint_patterns += patterns.len();
+            }
+        }
+    }
+    assert!(
+        (solves as usize) < endpoint_patterns,
+        "relabelled rounds must share solves: {solves} solves for \
+         {endpoint_patterns} endpoint patterns"
+    );
+}
+
+/// The reference `RoundLoad`: distinct links deduplicated through a
+/// `HashSet` of `(level, instance, up, rail)` tuples.
+fn round_load_oracle(net: &NetworkModel, messages: &[Message]) -> RoundLoad {
+    let strides = net.hierarchy().strides();
+    let links = net.links();
+    let mut load = RoundLoad::for_rails(net.rail_counts());
+    let mut seen = std::collections::HashSet::new();
+    for m in messages {
+        if m.src == m.dst {
+            load.max_local_bytes = load.max_local_bytes.max(m.bytes);
+            continue;
+        }
+        let j = strides
+            .iter()
+            .position(|&s| m.src / s != m.dst / s)
+            .expect("distinct cores differ at some level");
+        let latency = links[j].crossing_latency;
+        load.max_latency = load.max_latency.max(latency);
+        for (level, &stride) in strides.iter().enumerate().skip(j) {
+            load.min_latency_through[level] = if load.bytes_through[level] == 0 {
+                latency
+            } else {
+                load.min_latency_through[level].min(latency)
+            };
+            load.bytes_through[level] += m.bytes;
+            let up = net.message_rail(level, m.src, m.dst, true);
+            load.rail_bytes_up[level][up] += m.bytes;
+            if seen.insert((level, m.src / stride, true, up)) {
+                load.active_up[level] += 1;
+                load.rail_active_up[level][up] += 1;
+            }
+            let down = net.message_rail(level, m.src, m.dst, false);
+            load.rail_bytes_down[level][down] += m.bytes;
+            if seen.insert((level, m.dst / stride, false, down)) {
+                load.active_down[level] += 1;
+                load.rail_active_down[level][down] += 1;
+            }
+        }
+    }
+    load
+}
+
+#[test]
+fn dense_round_load_matches_the_hash_set_oracle() {
+    for mode in [ContentionMode::MaxMinFair, ContentionMode::EqualShare] {
+        for nics in [1usize, 2, 4] {
+            for policy in policies() {
+                let net = fabric(nics, policy, mode);
+                let machine = net.hierarchy().clone();
+                let mut reused = RoundLoad::for_rails(net.rail_counts());
+                for collective in generators() {
+                    for sigma in probe_orders() {
+                        let m = merged_for(&machine, &sigma, collective, REF_PAYLOAD, nics);
+                        let what =
+                            format!("{collective:?}, {sigma}, {mode:?}, {nics} rails, {policy}");
+                        for round in &m.rounds {
+                            let oracle = round_load_oracle(&net, &round.messages);
+                            assert_eq!(net.round_load(&round.messages), oracle, "{what}");
+                            net.round_load_into(&round.messages, &mut reused);
+                            assert_eq!(reused, oracle, "{what} (reused load)");
+                        }
+                        // The fluid bound's pooled virtual round.
+                        let all: Vec<Message> = m
+                            .rounds
+                            .iter()
+                            .flat_map(|r| r.messages.iter().copied())
+                            .collect();
+                        assert_eq!(
+                            net.round_load(&all),
+                            round_load_oracle(&net, &all),
+                            "{what} (pooled)"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn steady_state_costing_is_allocation_free() {
     let net = fabric(2, RailPolicy::RoundRobin, ContentionMode::MaxMinFair);
@@ -326,4 +486,42 @@ fn steady_state_costing_is_allocation_free() {
     let (allocs, replay) = count_allocations(|| sym.time_at_payload(4 * REF_PAYLOAD));
     assert!(replay.expect("integral scaling").is_finite());
     assert_eq!(allocs, 0, "symbolic replay must not allocate");
+
+    // A relabelled round — every core moved to the other node — interns
+    // to the solved round's input: a profile-tier hit, served from the
+    // warm link stamps without touching the heap. (Moving both endpoints
+    // by ±32 cores keeps `(src + dst) mod 2`, the round-robin rail.)
+    let round = &m.rounds[0];
+    let swapped = Round::with(
+        round
+            .messages
+            .iter()
+            .map(|msg| Message::new(msg.src ^ 32, msg.dst ^ 32, msg.bytes))
+            .collect(),
+    );
+    let solved = cache.round_profile_memo(&net, round);
+    let misses = cache.cache_stats().misses;
+    let (allocs, hit) = count_allocations(|| cache.round_profile_memo(&net, &swapped));
+    assert_eq!(allocs, 0, "a warm relabelled hit must not allocate");
+    assert!(
+        std::sync::Arc::ptr_eq(&solved, &hit),
+        "relabelled round must hit"
+    );
+    assert_eq!(cache.cache_stats().misses, misses);
+    assert_eq!(
+        hit.time(&swapped.messages).to_bits(),
+        net.round_time(&swapped.messages).to_bits()
+    );
+
+    // Warm bound evaluations: both rungs and an explicit load reuse.
+    let _ = net.round_lower_bound(&round.messages);
+    let mut load = net.round_load(&round.messages);
+    let (allocs, bounds) = count_allocations(|| {
+        let tight = net.round_lower_bound(&swapped.messages);
+        let aggregate = net.round_lower_bound_aggregate(&swapped.messages);
+        net.round_load_into(&round.messages, &mut load);
+        (tight, aggregate)
+    });
+    assert_eq!(allocs, 0, "warm bound evaluations must not allocate");
+    assert!(bounds.1 <= bounds.0 && bounds.0 <= hit.time(&swapped.messages));
 }

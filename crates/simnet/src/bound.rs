@@ -158,26 +158,35 @@ impl NetworkModel {
     /// the messages; bounds evaluated from the load are O(levels)).
     pub fn round_load(&self, messages: &[Message]) -> RoundLoad {
         let mut load = RoundLoad::empty(self.rail_counts());
-        let mut seen = std::collections::HashSet::new();
-        self.round_load_into(messages, &mut load, &mut seen);
+        self.round_load_into(messages, &mut load);
         load
     }
 
     /// [`round_load`](Self::round_load) into caller-owned storage: `load`
-    /// is [`reset`](RoundLoad::reset) and `seen` cleared first, so reusing
-    /// them across rounds allocates nothing once warm and accumulates
-    /// exactly what a fresh load would.
-    pub fn round_load_into(
+    /// is [`reset`](RoundLoad::reset) first, so reusing it across rounds
+    /// allocates nothing once warm and accumulates exactly what a fresh
+    /// load would. Distinct links are counted through the thread-local
+    /// workspace's link stamps.
+    pub fn round_load_into(&self, messages: &[Message], load: &mut RoundLoad) {
+        crate::workspace::with_thread_local(|ws| {
+            self.accumulate_load(&mut ws.stamps, messages, load)
+        })
+    }
+
+    /// The body of [`round_load_into`](Self::round_load_into), with the
+    /// distinct-link marks passed in so the pooled bound paths can borrow
+    /// them next to the workspace's own load.
+    fn accumulate_load(
         &self,
+        stamps: &mut crate::workspace::LinkStamps,
         messages: &[Message],
         load: &mut RoundLoad,
-        seen: &mut std::collections::HashSet<(usize, usize, bool, usize)>,
     ) {
-        let strides = self.hierarchy().strides();
-        let k = strides.len();
+        let strides = self.strides();
+        let table = self.link_table();
         let links = self.links();
         load.reset(self.rail_counts());
-        seen.clear();
+        stamps.begin(table.num_links());
         for m in messages {
             if m.src == m.dst {
                 load.max_local_bytes = load.max_local_bytes.max(m.bytes);
@@ -189,22 +198,23 @@ impl NetworkModel {
                 .expect("distinct cores differ at some level");
             let latency = links[j].crossing_latency;
             load.max_latency = load.max_latency.max(latency);
-            for (level, &stride) in strides.iter().enumerate().take(k).skip(j) {
+            for (level, &stride) in strides.iter().enumerate().skip(j) {
                 load.bytes_through[level] += m.bytes;
                 // Distinct (instance, rail) pairs: on a multi-rail fabric
                 // each rail of a NIC drains independently at the per-rail
-                // bandwidth, so activity is counted per rail. Single-rail
-                // models always yield rail 0, keeping the counts (and the
-                // bound) byte-identical to the pre-rail engine.
+                // bandwidth, so activity is counted per rail link.
+                // Single-rail models always yield rail 0, keeping the
+                // counts (and the bound) byte-identical to the pre-rail
+                // engine.
                 let up_rail = self.message_rail(level, m.src, m.dst, true);
                 load.rail_bytes_up[level][up_rail] += m.bytes;
-                if seen.insert((level, m.src / stride, true, up_rail)) {
+                if stamps.first_visit(table.link_id(level, m.src / stride, true, up_rail)) {
                     load.active_up[level] += 1;
                     load.rail_active_up[level][up_rail] += 1;
                 }
                 let down_rail = self.message_rail(level, m.src, m.dst, false);
                 load.rail_bytes_down[level][down_rail] += m.bytes;
-                if seen.insert((level, m.dst / stride, false, down_rail)) {
+                if stamps.first_visit(table.link_id(level, m.dst / stride, false, down_rail)) {
                     load.active_down[level] += 1;
                     load.rail_active_down[level][down_rail] += 1;
                 }
@@ -297,9 +307,9 @@ impl NetworkModel {
     /// [`RoundWorkspace`]: crate::workspace::RoundWorkspace
     pub fn round_lower_bound(&self, messages: &[Message]) -> f64 {
         crate::workspace::with_thread_local(|ws| {
-            let crate::workspace::RoundWorkspace { load, seen, .. } = ws;
+            let crate::workspace::RoundWorkspace { load, stamps, .. } = ws;
             let load = load.get_or_insert_with(|| RoundLoad::for_rails(self.rail_counts()));
-            self.round_load_into(messages, load, seen);
+            self.accumulate_load(stamps, messages, load);
             self.round_lower_bound_from(load)
         })
     }
@@ -309,9 +319,9 @@ impl NetworkModel {
     /// [`round_lower_bound_aggregate_from`](Self::round_lower_bound_aggregate_from)).
     pub fn round_lower_bound_aggregate(&self, messages: &[Message]) -> f64 {
         crate::workspace::with_thread_local(|ws| {
-            let crate::workspace::RoundWorkspace { load, seen, .. } = ws;
+            let crate::workspace::RoundWorkspace { load, stamps, .. } = ws;
             let load = load.get_or_insert_with(|| RoundLoad::for_rails(self.rail_counts()));
-            self.round_load_into(messages, load, seen);
+            self.accumulate_load(stamps, messages, load);
             self.round_lower_bound_aggregate_from(load)
         })
     }

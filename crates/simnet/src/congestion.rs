@@ -187,17 +187,11 @@ pub struct CongestionProbe {
 impl CongestionProbe {
     /// A probe sized for `net`'s rail-link table, initially empty.
     pub fn new(net: &NetworkModel) -> Self {
-        let strides = net.hierarchy().strides();
-        let table = RailLinkTable::new(
-            net.hierarchy().size(),
-            &strides,
-            net.rail_counts(),
-            net.rail_policy(),
-        );
+        let table = net.link_table().clone();
         let n = table.num_links();
         Self {
             table,
-            depth: strides.len(),
+            depth: net.hierarchy().depth(),
             segments: vec![Vec::new(); n],
             link_bytes: vec![0.0; n],
             busy: vec![0.0; n],
@@ -211,8 +205,8 @@ impl CongestionProbe {
         }
     }
 
-    /// The link table the probe resolves ids through (identical layout to
-    /// the engines' own tables for the same model).
+    /// The link table the probe resolves ids through (a copy of the
+    /// model's [`NetworkModel::link_table`]).
     pub fn table(&self) -> &RailLinkTable {
         &self.table
     }
@@ -505,13 +499,7 @@ impl NetworkModel {
     pub fn schedule_time_probed(&self, schedule: &Schedule, probe: &mut CongestionProbe) -> f64 {
         debug_assert_eq!(
             probe.num_links(),
-            RailLinkTable::new(
-                self.hierarchy().size(),
-                &self.hierarchy().strides(),
-                self.rail_counts(),
-                self.rail_policy(),
-            )
-            .num_links(),
+            self.link_table().num_links(),
             "probe built for a different network model"
         );
         let mut t = 0.0;

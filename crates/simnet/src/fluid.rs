@@ -333,15 +333,15 @@ pub struct FluidSim<'a> {
     net: &'a NetworkModel,
     strides: Vec<usize>,
     local_rate: f64,
-    /// The level-major directed rail-link table built by
-    /// [`new`](Self::new): the id of `(level, instance, up, rail)` is
+    /// The model's level-major directed rail-link table
+    /// ([`NetworkModel::link_table`]): the id of `(level, instance, up, rail)` is
     /// `level_offset[level] + (2·instance + up)·rails[level] + rail`.
     /// Outer levels get the low ids, so the shared links every solve
     /// touches sit in one dense cache-hot prefix of
     /// [`lstate`](Self::lstate) while the per-core leaf links (numerous,
     /// almost always solo) fill the tail. At one rail per level the ids
     /// are bit-identical to the pre-rail layout.
-    table: RailLinkTable,
+    table: &'a RailLinkTable,
     /// Per-link capacity, flow count, and water-fill scratch.
     lstate: Vec<LinkState>,
     path_cache: HashMap<(u32, u32), (i32, u32, u32)>,
@@ -398,7 +398,7 @@ impl<'a> FluidSim<'a> {
         // the per-core links in path-discovery order.
         let size = net.hierarchy().size();
         let strides = net.hierarchy().strides();
-        let table = RailLinkTable::new(size, &strides, net.rail_counts(), net.rail_policy());
+        let table = net.link_table();
         let mut lstate = Vec::with_capacity(table.num_links());
         for (level, &stride) in strides.iter().enumerate() {
             let capacity = net.links()[level].uplink_bandwidth;

@@ -16,7 +16,7 @@
 //! machines.
 
 use crate::contention::max_min_rates_csr;
-use crate::rail::{assign_rail, RailPolicy};
+use crate::rail::{assign_rail, RailLinkTable, RailPolicy};
 use crate::schedule::{Message, Schedule};
 use mre_core::Hierarchy;
 
@@ -62,6 +62,10 @@ pub struct NetworkModel {
     rails: Vec<usize>,
     /// How crossing messages are bound to rails (see [`crate::rail`]).
     rail_policy: RailPolicy,
+    /// The directed rail-link layout every engine shares: the lockstep
+    /// interning, the bounds, the fluid engine and the congestion probe
+    /// all address links by these ids.
+    table: RailLinkTable,
 }
 
 impl NetworkModel {
@@ -91,6 +95,7 @@ impl NetworkModel {
         }
         let strides = hierarchy.strides();
         let rails = vec![1; hierarchy.depth()];
+        let table = RailLinkTable::new(hierarchy.size(), &strides, &rails, RailPolicy::default());
         let mut model = Self {
             hierarchy,
             strides,
@@ -100,6 +105,7 @@ impl NetworkModel {
             mode: ContentionMode::MaxMinFair,
             rails,
             rail_policy: RailPolicy::default(),
+            table,
         };
         // Calibrate the local copy rate once, at construction, via the same
         // probe the fluid simulator used to re-derive per call: the rate a
@@ -174,6 +180,7 @@ impl NetworkModel {
             "one rail count per hierarchy level"
         );
         assert!(rails.iter().all(|&r| r >= 1), "rail counts must be >= 1");
+        self.table = RailLinkTable::new(self.hierarchy.size(), &self.strides, &rails, policy);
         self.rails = rails;
         self.rail_policy = policy;
         // Multi-rail local copies are unaffected, but the calibrated rate
@@ -201,6 +208,19 @@ impl NetworkModel {
     /// The rail assignment policy.
     pub fn rail_policy(&self) -> RailPolicy {
         self.rail_policy
+    }
+
+    /// The model's directed rail-link table: the one link-id layout the
+    /// lockstep interning, the bounds, [`crate::FluidSim`] and
+    /// [`crate::CongestionProbe`] share.
+    pub fn link_table(&self) -> &RailLinkTable {
+        &self.table
+    }
+
+    /// Cores per instance of each level (the hierarchy's strides, kept so
+    /// hot paths need not recompute them).
+    pub(crate) fn strides(&self) -> &[usize] {
+        &self.strides
     }
 
     /// True when any level has more than one rail.
@@ -252,12 +272,11 @@ impl NetworkModel {
     }
 
     /// [`round_profile`](Self::round_profile) with caller-owned scratch:
-    /// the link-interning table, CSR flow lists and solver state all live
-    /// in `ws` and are reused across calls, so the steady state allocates
-    /// only the returned [`RoundProfile`]. Bit-identical to a fresh-buffer
-    /// build — interning order, capacities and the solver's freezing
-    /// schedule depend only on the message sequence, never on buffer
-    /// history.
+    /// the link stamps, CSR flow lists and solver state all live in `ws`
+    /// and are reused across calls, so the steady state allocates only the
+    /// returned [`RoundProfile`]. Bit-identical to a fresh-buffer build —
+    /// interning order, capacities and the solver's freezing schedule
+    /// depend only on the message sequence, never on buffer history.
     pub fn round_profile_with(
         &self,
         ws: &mut crate::workspace::RoundWorkspace,
@@ -269,23 +288,35 @@ impl NetworkModel {
                 crossing: Vec::new(),
             };
         }
+        self.intern_round(ws, messages);
+        self.solve_interned(ws)
+    }
+
+    /// Builds the solver input of a round in `ws`: dense link indices in
+    /// first-seen order (rail-link ids from [`Self::link_table`], mapped
+    /// through the workspace's epoch stamps), CSR flow lists, per-link
+    /// capacities and per-flow crossing levels. At one rail per level the
+    /// rail is constantly 0, so the interning order — and with it every
+    /// dense index, capacity and solved rate — is identical to the
+    /// single-rail model.
+    pub(crate) fn intern_round(
+        &self,
+        ws: &mut crate::workspace::RoundWorkspace,
+        messages: &[Message],
+    ) {
         ws.begin_round();
         let k = self.hierarchy.depth();
-        // Directed rail-link table: (level, instance, is_up, rail) → dense
-        // index. At one rail per level the rail is constantly 0, so the
-        // interning order — and with it every dense index, capacity and
-        // solved rate — is identical to the single-rail model.
-        ws.link_index.clear();
+        ws.stamps.begin(self.table.num_links());
         ws.capacities.clear();
         ws.flow_offsets.clear();
         ws.flow_offsets.push(0);
         ws.flow_links.clear();
-        let mut crossing: Vec<Option<usize>> = Vec::with_capacity(messages.len());
+        ws.crossing.clear();
         for m in messages {
             debug_assert!(m.src < self.hierarchy.size() && m.dst < self.hierarchy.size());
             if m.src == m.dst {
                 ws.flow_offsets.push(ws.flow_links.len());
-                crossing.push(None);
+                ws.crossing.push(None);
                 continue;
             }
             let j = self
@@ -294,15 +325,9 @@ impl NetworkModel {
                 .position(|&s| m.src / s != m.dst / s)
                 .expect("distinct cores differ at some level");
             for level in j..k {
-                let stride = self.strides[level];
-                for (core, up) in [(m.src, true), (m.dst, false)] {
-                    let instance = core / stride;
-                    let rail = self.message_rail(level, m.src, m.dst, up);
-                    let next = ws.link_index.len();
-                    let idx = *ws
-                        .link_index
-                        .entry((level, instance, up, rail))
-                        .or_insert(next);
+                for up in [true, false] {
+                    let id = self.table.message_link(level, m.src, m.dst, up);
+                    let idx = ws.stamps.intern(id, ws.capacities.len());
                     if idx == ws.capacities.len() {
                         ws.capacities.push(self.links[level].uplink_bandwidth);
                     }
@@ -310,7 +335,21 @@ impl NetworkModel {
                 }
             }
             ws.flow_offsets.push(ws.flow_links.len());
-            crossing.push(Some(j));
+            ws.crossing.push(Some(j));
+        }
+    }
+
+    /// Solves the round last interned into `ws` by
+    /// [`intern_round`](Self::intern_round). The result depends only on
+    /// the interned input, so two rounds with equal
+    /// [`solver_fingerprint`](crate::workspace::RoundWorkspace::solver_fingerprint)s
+    /// share one profile.
+    pub(crate) fn solve_interned(&self, ws: &mut crate::workspace::RoundWorkspace) -> RoundProfile {
+        if ws.crossing.is_empty() {
+            return RoundProfile {
+                entries: Vec::new(),
+                crossing: Vec::new(),
+            };
         }
         match self.mode {
             ContentionMode::MaxMinFair => max_min_rates_csr(
@@ -331,13 +370,16 @@ impl NetworkModel {
         let entries = ws
             .rates
             .iter()
-            .zip(&crossing)
+            .zip(&ws.crossing)
             .map(|(&rate, j)| match j {
                 None => (0.0, self.calibrated_local_rate),
                 Some(j) => (self.links[*j].crossing_latency, rate),
             })
             .collect();
-        RoundProfile { entries, crossing }
+        RoundProfile {
+            entries,
+            crossing: ws.crossing.clone(),
+        }
     }
 
     /// Time for a schedule: the sum of its round times (rounds are

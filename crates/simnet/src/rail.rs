@@ -23,6 +23,9 @@
 //! * path interning (`(src, dst) → links`) stays valid across rounds and
 //!   runs ([`crate::FluidSim`]'s memoized paths, [`crate::CostCache`]'s
 //!   endpoint-keyed profiles);
+//! * the rail is part of a link's id, so the solver-input key of
+//!   [`crate::SharedCostCache`]'s profile tier separates rounds that
+//!   differ only in rail assignment;
 //! * rail assignment is deterministic across threads (property-tested);
 //! * the admissible bounds of [`crate::bound`] can count distinct
 //!   `(instance, rail)` links without simulating anything.
@@ -153,7 +156,11 @@ impl RailLinkTable {
         let mut total = 0usize;
         for (level, &stride) in strides.iter().enumerate() {
             level_offset.push(total as u32);
-            total += 2 * (size / stride) * rails[level];
+            total = (size / stride)
+                .checked_mul(2 * rails[level])
+                .and_then(|n| total.checked_add(n))
+                .filter(|&n| n <= u32::MAX as usize)
+                .expect("rail-link ids must fit in 32 bits");
         }
         Self {
             strides: strides.to_vec(),

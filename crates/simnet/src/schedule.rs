@@ -74,8 +74,8 @@ impl Round {
     /// the identical contention solve and the identical floating-point
     /// fold. Rail assignment under the active [`crate::rail::RailPolicy`]
     /// is a pure function of `(model, level, endpoints)`, so folding the
-    /// model fingerprint into the cache key (as [`SharedCostCache`] does)
-    /// covers it without hashing rails here.
+    /// model fingerprint into the cache key (as [`SharedCostCache`]'s
+    /// round-time tier does) covers it without hashing rails here.
     pub fn endpoint_fingerprint(&self) -> u64 {
         use std::hash::{Hash, Hasher};
         let mut h = std::collections::hash_map::DefaultHasher::new();
@@ -387,9 +387,12 @@ pub struct SharedCostCache {
 type CostShard = std::sync::Mutex<std::collections::HashMap<(u64, u64, u64), f64>>;
 
 /// One lock-striped shard of the round-profile tier: `(model fingerprint,
-/// round endpoint fingerprint)` → solved contention profile. Profiles are
-/// payload-independent (contended rates depend only on endpoints), so
-/// this tier is shared across the whole payload axis.
+/// solver-input fingerprint)` → solved contention profile. The second slot
+/// hashes the round's *interned* solver input (see
+/// [`SharedCostCache::round_profile_memo`]), so relabelled copies of a
+/// round share one entry. Profiles are payload-independent (contended
+/// rates depend only on paths), so this tier is shared across the whole
+/// payload axis.
 type ProfileShard = std::sync::Mutex<
     std::collections::HashMap<(u64, u64), std::sync::Arc<crate::network::RoundProfile>>,
 >;
@@ -556,88 +559,100 @@ impl SharedCostCache {
     }
 
     /// The solved contention profile of a round, memoized under
-    /// `(net.fingerprint(), round.endpoint_fingerprint())`.
+    /// `(net.fingerprint(), solver-input fingerprint)`.
     ///
-    /// Profiles are payload-independent, so one solve serves every payload
-    /// on the axis; a returned profile is bit-identical to
-    /// `net.round_profile(&round.messages)` because a fingerprint hit
-    /// implies the identical endpoint sequence and the solve is a
-    /// deterministic function of `(model, endpoints)`. Counts a round hit
-    /// when the profile was already solved, a miss when this call solved
-    /// it.
+    /// The round is interned once into the thread's workspace — dense link
+    /// indices in first-seen order, CSR flow lists, capacity bits and
+    /// per-flow crossing levels — and that input is the key. Two rounds
+    /// whose endpoints differ but intern to the same input (a copy of the
+    /// round on other nodes, sockets or cores) are relabellings of one
+    /// another: the solver sees identical data, so the cached profile is
+    /// bit-identical to `net.round_profile(&round.messages)`. Rails are
+    /// part of each link's id, so rounds whose rail assignment differs do
+    /// not share. On a miss the solve runs straight from the interned
+    /// workspace. Like every other tier, the key is a 64-bit fingerprint
+    /// (see the caller contract on the type).
+    ///
+    /// Counts a round hit when the profile was already solved, a miss when
+    /// this call solved it.
     pub fn round_profile_memo(
         &self,
         net: &NetworkModel,
         round: &Round,
     ) -> std::sync::Arc<crate::network::RoundProfile> {
-        use std::sync::atomic::Ordering::Relaxed;
-        let key = (net.fingerprint(), round.endpoint_fingerprint());
-        let shard = &self.round_profiles[Self::shard_index(&key)];
-        if let Some(p) = shard.lock().unwrap().get(&key) {
-            self.round_hits.fetch_add(1, Relaxed);
-            if mre_core::telemetry::enabled() {
-                mre_core::telemetry::counter_add("core.cost_cache.round_hits", 1);
+        let (profile, solved) = self.profile_of(net, net.fingerprint(), &round.messages);
+        self.count_round(solved);
+        profile
+    }
+
+    /// The profile tier's lookup: interns `messages`, looks the solver
+    /// input up, and solves from the interned workspace on a miss.
+    /// Returns the profile and whether this call solved it.
+    fn profile_of(
+        &self,
+        net: &NetworkModel,
+        model_fp: u64,
+        messages: &[Message],
+    ) -> (std::sync::Arc<crate::network::RoundProfile>, bool) {
+        crate::workspace::with_thread_local(|ws| {
+            net.intern_round(ws, messages);
+            let key = (model_fp, ws.solver_fingerprint());
+            let shard = &self.round_profiles[Self::shard_index(&key)];
+            if let Some(p) = shard
+                .lock()
+                .expect("a costing thread panicked holding a cache shard")
+                .get(&key)
+            {
+                return (p.clone(), false);
             }
-            return p.clone();
-        }
-        // Solve outside the lock; a racing duplicate solve produces the
-        // identical profile.
-        let p = std::sync::Arc::new(net.round_profile(&round.messages));
-        self.round_misses.fetch_add(1, Relaxed);
+            // Solve outside the lock; a racing duplicate solve produces the
+            // identical profile.
+            let p = std::sync::Arc::new(net.solve_interned(ws));
+            shard
+                .lock()
+                .expect("a costing thread panicked holding a cache shard")
+                .insert(key, p.clone());
+            (p, true)
+        })
+    }
+
+    /// Counts one round resolved without a solve (`solved == false`) or
+    /// with one, in the counters and the telemetry sink.
+    fn count_round(&self, solved: bool) {
+        use std::sync::atomic::Ordering::Relaxed;
+        let (counter, name) = if solved {
+            (&self.round_misses, "core.cost_cache.misses")
+        } else {
+            (&self.round_hits, "core.cost_cache.round_hits")
+        };
+        counter.fetch_add(1, Relaxed);
         if mre_core::telemetry::enabled() {
-            mre_core::telemetry::counter_add("core.cost_cache.misses", 1);
+            mre_core::telemetry::counter_add(name, 1);
         }
-        shard.lock().unwrap().insert(key, p.clone());
-        p
     }
 
     /// A round's lockstep time, memoized at round granularity.
     ///
     /// Two tiers: the round-*time* memo keyed `(model fingerprint, round
     /// endpoint fingerprint, payload)` answers repeats outright; on a time
-    /// miss the round-*profile* memo (payload-independent) avoids the
+    /// miss the round-*profile* memo (payload-independent, keyed by the
+    /// interned solver input — see
+    /// [`round_profile_memo`](Self::round_profile_memo)) avoids the
     /// contention solve and only the `O(messages)` payload replay runs.
     /// Either tier counts as a `round_hit`; a full solve counts as a
     /// `miss`. Bit-identical to `net.round_time(&round.messages)` under
     /// the caller contract on the type (bytes a deterministic function of
     /// `(pattern, payload)`).
     pub fn round_time_memo(&self, net: &NetworkModel, round: &Round, payload: u64) -> f64 {
-        use std::sync::atomic::Ordering::Relaxed;
         let model_fp = net.fingerprint();
-        let rfp = round.endpoint_fingerprint();
-        let tkey = (model_fp, rfp, payload);
+        let tkey = (model_fp, round.endpoint_fingerprint(), payload);
         let tshard = &self.round_times[Self::shard_index(&tkey)];
         if let Some(&t) = tshard.lock().unwrap().get(&tkey) {
-            self.round_hits.fetch_add(1, Relaxed);
-            if mre_core::telemetry::enabled() {
-                mre_core::telemetry::counter_add("core.cost_cache.round_hits", 1);
-            }
+            self.count_round(false);
             return t;
         }
-        let pkey = (model_fp, rfp);
-        let pshard = &self.round_profiles[Self::shard_index(&pkey)];
-        let cached = pshard.lock().unwrap().get(&pkey).cloned();
-        let (profile, solved) = match cached {
-            Some(p) => (p, false),
-            None => {
-                let p = std::sync::Arc::new(net.round_profile(&round.messages));
-                pshard.lock().unwrap().insert(pkey, p.clone());
-                (p, true)
-            }
-        };
-        if solved {
-            self.round_misses.fetch_add(1, Relaxed);
-        } else {
-            self.round_hits.fetch_add(1, Relaxed);
-        }
-        if mre_core::telemetry::enabled() {
-            let name = if solved {
-                "core.cost_cache.misses"
-            } else {
-                "core.cost_cache.round_hits"
-            };
-            mre_core::telemetry::counter_add(name, 1);
-        }
+        let (profile, solved) = self.profile_of(net, model_fp, &round.messages);
+        self.count_round(solved);
         let t = profile.time(&round.messages);
         tshard.lock().unwrap().insert(tkey, t);
         t
@@ -1096,11 +1111,14 @@ mod tests {
         );
         let stats = cache.cache_stats();
         assert_eq!(stats.pattern_hits, 0);
+        // The shared round hits the time tier; `2 → 3` is a relabelled
+        // copy of `0 → 1` (one core-level hop each), so it hits the
+        // profile tier.
         assert_eq!(
-            stats.round_hits, 1,
-            "the shared round hit at round granularity"
+            stats.round_hits, 2,
+            "the shared round and the relabelled round hit at round granularity"
         );
-        assert_eq!(stats.misses, 3);
+        assert_eq!(stats.misses, 2);
     }
 
     #[test]
@@ -1115,6 +1133,119 @@ mod tests {
         assert!(std::sync::Arc::ptr_eq(&memo, &again));
         let stats = cache.cache_stats();
         assert_eq!((stats.round_hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn relabelled_rounds_share_one_solve() {
+        let net = toy_network();
+        let cache = SharedCostCache::new();
+        // Socket 0 → socket 0 across the nodes, and the same pattern one
+        // socket over: different endpoints, the same interned solver input.
+        let a = Round::with(vec![Message::new(0, 8, 100), Message::new(1, 9, 300)]);
+        let b = Round::with(vec![Message::new(4, 12, 100), Message::new(5, 13, 300)]);
+        assert_ne!(a.endpoint_fingerprint(), b.endpoint_fingerprint());
+        let pa = cache.round_profile_memo(&net, &a);
+        let pb = cache.round_profile_memo(&net, &b);
+        assert!(std::sync::Arc::ptr_eq(&pa, &pb), "one solve serves both");
+        assert_eq!(*pb, net.round_profile(&b.messages));
+        let stats = cache.cache_stats();
+        assert_eq!((stats.round_hits, stats.misses), (1, 1));
+        // The time tier replays the shared profile with each round's bytes.
+        let fresh = SharedCostCache::new();
+        for round in [&a, &b] {
+            assert_eq!(
+                fresh.round_time_memo(&net, round, 1).to_bits(),
+                net.round_time(&round.messages).to_bits()
+            );
+        }
+        assert_eq!(fresh.cache_stats().misses, 1);
+    }
+
+    #[test]
+    fn equal_shapes_with_different_sharing_do_not_share() {
+        let net = toy_network();
+        let cache = SharedCostCache::new();
+        // Three in-socket flows each: same flow lengths, link count,
+        // capacities and crossing levels, but a star (one shared uplink)
+        // against a chain (two links shared by two flows each).
+        let star = Round::with(vec![
+            Message::new(0, 1, 100),
+            Message::new(0, 2, 100),
+            Message::new(0, 3, 100),
+        ]);
+        let chain = Round::with(vec![
+            Message::new(0, 1, 100),
+            Message::new(2, 1, 100),
+            Message::new(2, 3, 100),
+        ]);
+        let ps = cache.round_profile_memo(&net, &star);
+        let pc = cache.round_profile_memo(&net, &chain);
+        assert_eq!(cache.cache_stats().misses, 2);
+        assert_eq!(*ps, net.round_profile(&star.messages));
+        assert_eq!(*pc, net.round_profile(&chain.messages));
+        assert_ne!(ps.entries, pc.entries);
+    }
+
+    #[test]
+    fn rail_assignment_separates_relabelled_rounds() {
+        use crate::rail::{assign_rail, RailPolicy};
+        // `x` and `y` differ in one sender core of the same socket, so
+        // they intern identically on one rail. On two rails they share a
+        // solve only if the policy puts their flows on the same rails.
+        let single = toy_network();
+        for policy in [RailPolicy::RoundRobin, RailPolicy::SrcHash] {
+            let railed = toy_network().with_node_rails(2, policy);
+            let rail = |side: usize, peer: usize| assign_rail(policy, 2, 8, side, peer);
+            // Senders 0 and `b` share a node rail in `x`; 0 and `c` do not
+            // in `y`.
+            let (b, c) = (1..4)
+                .flat_map(|b| (1..4).map(move |c| (b, c)))
+                .find(|&(b, c)| rail(0, 8) == rail(b, 9) && rail(0, 8) != rail(c, 9))
+                .expect("two rails split socket 0's senders");
+            let x = Round::with(vec![Message::new(0, 8, 64), Message::new(b, 9, 64)]);
+            let y = Round::with(vec![Message::new(0, 8, 64), Message::new(c, 9, 64)]);
+            let cache = SharedCostCache::new();
+            cache.round_profile_memo(&single, &x);
+            cache.round_profile_memo(&single, &y);
+            assert_eq!(cache.cache_stats().misses, 1, "{policy}: one rail shares");
+            let px = cache.round_profile_memo(&railed, &x);
+            let py = cache.round_profile_memo(&railed, &y);
+            assert_eq!(cache.cache_stats().misses, 3, "{policy}: two rails do not");
+            assert_eq!(*px, railed.round_profile(&x.messages));
+            assert_eq!(*py, railed.round_profile(&y.messages));
+        }
+    }
+
+    #[test]
+    fn equal_share_profiles_key_apart_and_relabel() {
+        let fair = toy_network();
+        let naive = toy_network().with_contention_mode(ContentionMode::EqualShare);
+        // Asymmetric mix where the two modes disagree: the in-socket flow
+        // keeps 95 B/s of core 0's uplink under max-min, 50 B/s under the
+        // equal split.
+        let round = Round::with(vec![
+            Message::new(0, 1, 100_000),
+            Message::new(0, 8, 1000),
+            Message::new(2, 10, 1000),
+        ]);
+        let moved = Round::with(vec![
+            Message::new(4, 5, 100_000),
+            Message::new(4, 12, 1000),
+            Message::new(6, 14, 1000),
+        ]);
+        assert!(naive.round_time(&round.messages) > fair.round_time(&round.messages));
+        let cache = SharedCostCache::new();
+        for net in [&fair, &naive] {
+            for r in [&round, &moved] {
+                assert_eq!(
+                    cache.round_time_memo(net, r, 1000).to_bits(),
+                    net.round_time(&r.messages).to_bits()
+                );
+            }
+        }
+        // One solve per mode; the moved round hits its own mode's entry.
+        let stats = cache.cache_stats();
+        assert_eq!((stats.round_hits, stats.misses), (2, 2));
     }
 
     #[test]

@@ -127,7 +127,8 @@ fn upper_envelope(mut lines: Vec<(f64, f64)>) -> Vec<HullPiece> {
 /// One round of the reference schedule in symbolic form.
 #[derive(Debug, Clone)]
 struct SymbolicRound {
-    /// The memoized contention profile of the round's endpoint pattern.
+    /// The memoized contention profile of the round (possibly solved for
+    /// a relabelled copy of it).
     profile: Arc<RoundProfile>,
     /// `(src, dst, bytes_at_reference)` per message, in round order.
     messages: Vec<(usize, usize, u64)>,

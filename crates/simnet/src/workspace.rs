@@ -2,7 +2,8 @@
 //! steady state of the sweep loops (DESIGN.md §7h).
 //!
 //! Profiling a round ([`NetworkModel::round_profile`]) interns directed
-//! rail-links, builds per-flow link lists and runs a contention solve;
+//! rail-links into dense solver indices, builds per-flow link lists and
+//! runs a contention solve;
 //! bounding a round ([`NetworkModel::round_lower_bound`]) accumulates a
 //! [`RoundLoad`] histogram. Done naively, every candidate order costed by
 //! a sweep re-allocates all of that scratch thousands of times. A
@@ -17,6 +18,15 @@
 //! message sequence, never on buffer history, so workspace-pooled results
 //! are **bit-identical** to fresh-buffer results (property-tested).
 //!
+//! Link interning is hash-free. Every directed rail-link already has an
+//! arithmetic id in the model's [`RailLinkTable`], so
+//! `LinkStamps` keeps one epoch stamp and one dense slot per id: a link
+//! is new to the round when its stamp is stale, and bumping the epoch
+//! clears the whole table in O(1). Slots are handed out in first-seen
+//! order, so the dense indices depend only on the message sequence.
+//!
+//! [`RailLinkTable`]: crate::rail::RailLinkTable
+//!
 //! The thread-local is handed out by `with_thread_local`; re-entrant
 //! borrows (a closure that itself profiles a round) fall back to a
 //! temporary empty workspace, trading a few allocations for
@@ -28,25 +38,78 @@
 use crate::bound::RoundLoad;
 use crate::contention::ContentionWorkspace;
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+
+/// Epoch-stamped dense interning over the rail-link ids of a
+/// [`RailLinkTable`](crate::rail::RailLinkTable).
+///
+/// `stamp[id] == epoch` marks link `id` as seen in the current pass, and
+/// `slot[id]` is then its dense index. [`begin`](Self::begin) starts a
+/// pass by bumping the epoch, so nothing is cleared per round.
+#[derive(Debug, Default)]
+pub(crate) struct LinkStamps {
+    stamp: Vec<u32>,
+    slot: Vec<u32>,
+    epoch: u32,
+}
+
+impl LinkStamps {
+    /// Starts a pass over a table of `num_links` ids.
+    pub(crate) fn begin(&mut self, num_links: usize) {
+        if self.stamp.len() < num_links {
+            self.stamp.resize(num_links, 0);
+            self.slot.resize(num_links, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: old stamps could alias the new epoch.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// The dense index of link `id`, handing out `next` if the link is
+    /// new to this pass.
+    #[inline]
+    pub(crate) fn intern(&mut self, id: u32, next: usize) -> usize {
+        let id = id as usize;
+        if self.stamp[id] == self.epoch {
+            self.slot[id] as usize
+        } else {
+            self.stamp[id] = self.epoch;
+            self.slot[id] = next as u32;
+            next
+        }
+    }
+
+    /// Marks link `id` seen; true on its first visit in this pass.
+    #[inline]
+    pub(crate) fn first_visit(&mut self, id: u32) -> bool {
+        let id = id as usize;
+        let fresh = self.stamp[id] != self.epoch;
+        self.stamp[id] = self.epoch;
+        fresh
+    }
+}
 
 /// Every scratch buffer one thread needs to profile and bound rounds:
-/// the directed rail-link interning table, CSR flow lists, solver rates,
-/// the contention solver's own workspace and a [`RoundLoad`] accumulator.
+/// the link stamps, CSR flow lists, solver rates, the contention
+/// solver's own workspace and a [`RoundLoad`] accumulator.
 ///
 /// All state is reset on entry to each operation; only capacity survives.
 /// Obtain one with [`RoundWorkspace::new`] for explicit pooling, or let
 /// the costing entry points use the thread-local via `with_thread_local`.
 #[derive(Debug, Default)]
 pub struct RoundWorkspace {
-    /// (level, instance, is_up, rail) → dense link index.
-    pub(crate) link_index: HashMap<(usize, usize, bool, usize), usize>,
+    /// Rail-link id → dense link index (profiles) or seen-mark (loads).
+    pub(crate) stamps: LinkStamps,
     /// Capacity of each interned link, in interning order.
     pub(crate) capacities: Vec<f64>,
     /// CSR offsets: flow `f`'s links span `flow_links[o[f]..o[f + 1]]`.
     pub(crate) flow_offsets: Vec<usize>,
     /// CSR link indices, all flows concatenated.
     pub(crate) flow_links: Vec<usize>,
+    /// Per-flow crossing level (`None` for a self-message).
+    pub(crate) crossing: Vec<Option<usize>>,
     /// Solved per-flow rates (output buffer of the contention solve).
     pub(crate) rates: Vec<f64>,
     /// Per-link flow counts (equal-share mode's only scratch).
@@ -56,8 +119,6 @@ pub struct RoundWorkspace {
     /// Reusable [`RoundLoad`] accumulator for bound evaluations
     /// (`None` until the first bound on this thread).
     pub(crate) load: Option<RoundLoad>,
-    /// Distinct-(level, instance, direction, rail) set for load building.
-    pub(crate) seen: HashSet<(usize, usize, bool, usize)>,
     rounds: u64,
 }
 
@@ -79,6 +140,24 @@ impl RoundWorkspace {
         if mre_core::telemetry::enabled() {
             mre_core::telemetry::counter_add("simnet.workspace.rounds", 1);
         }
+    }
+
+    /// Fingerprint of the interned solver input: CSR offsets, dense link
+    /// lists, capacity bits and per-flow crossing levels. Two rounds with
+    /// equal inputs get bit-identical solves even when their endpoints
+    /// differ (a relabelled copy of a round interns to the same input).
+    /// A 64-bit hash, like every other cache key.
+    pub(crate) fn solver_fingerprint(&self) -> u64 {
+        use std::hash::{Hash, Hasher};
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        self.flow_offsets.hash(&mut h);
+        self.flow_links.hash(&mut h);
+        self.capacities.len().hash(&mut h);
+        for c in &self.capacities {
+            c.to_bits().hash(&mut h);
+        }
+        self.crossing.hash(&mut h);
+        h.finish()
     }
 }
 

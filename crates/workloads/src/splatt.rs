@@ -520,7 +520,9 @@ pub fn estimate_cpd_time(
 /// identical patterns re-encountered within an order (the three per-mode
 /// world Allreduces) hit at pattern granularity, orders that share only
 /// some rounds hit round by round, and different rail counts and policies
-/// get distinct entries through the model fingerprint.
+/// get distinct entries through the model fingerprint. Contention solves
+/// are shared wider still: a round that is a relabelled copy of one
+/// already solved, in this order or another, reuses its profile.
 pub fn estimate_cpd_time_cached(
     cfg: &SplattConfig,
     machine: &Hierarchy,
