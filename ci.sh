@@ -145,4 +145,16 @@ echo "== fig8_splatt reproduction (regenerates results/fig8_splatt.txt byte-for-
 cargo run -q --release -p mre-bench --bin fig8_splatt > target/fig8_splatt.out
 cmp target/fig8_splatt.out results/fig8_splatt.txt
 
+echo "== results reproduction (regenerates every fast results/*.txt byte-for-byte)"
+# The argv of each producer is the one EXPERIMENTS.md records; fig8_splatt
+# is checked by its own step above.
+cargo build -q --release -p mre-bench --bins
+for fig in table1 fig2_orders fig3_alltoall_hydra fig4_alltoall_hydra_128 \
+  fig5_alltoall_lumi fig6_allreduce_hydra fig7_allgather_lumi fig9_cg_scaling ablations; do
+  ./target/release/$fig > target/results_$fig.out
+  cmp target/results_$fig.out results/$fig.txt
+done
+./target/release/order_sweep 16,2,2,8 16 allgather 4194304 > target/results_order_sweep.out
+cmp target/results_order_sweep.out results/order_sweep.txt
+
 echo "== CI OK"

@@ -1,5 +1,6 @@
-//! Trace-guided autotuning benchmarks (this PR's additions): exhaustive
-//! grid sweeps vs. the branch-and-bound [`sweep_pruned`], the cross-sweep
+//! Trace-guided autotuning benchmarks: exhaustive grid sweeps vs. the
+//! single-bound branch-and-bound sweep ([`sweep_pruned_axis`] with a unit
+//! `prepare` and a tight rung that never prunes), the cross-sweep
 //! [`SharedCostCache`], and the per-subcommunicator [`AlgorithmSelector`]
 //! with cold vs. warm caches.
 //!
@@ -9,8 +10,10 @@
 //! actually pruning candidates. Numbers are recorded in
 //! `BENCH_autotune.json` at the repo root.
 
+mod common;
+
 use mre_bench::tinybench::{black_box, Bench, Stats};
-use mre_core::order_search::{sweep, sweep_pruned, sweep_pruned_ladder, SweepSpec};
+use mre_core::order_search::{sweep, sweep_pruned_axis, PrunedSweepCell, SweepSpec};
 use mre_core::par;
 use mre_core::subcomm::{subcommunicators, ColorScheme};
 use mre_core::{Hierarchy, Permutation};
@@ -66,6 +69,25 @@ fn contended_duration(
         .simultaneous_duration
 }
 
+/// The single-bound pruned sweep: the axis engine with a unit `prepare`
+/// and a tight rung that never prunes.
+fn single_bound_sweep(
+    machine: &Hierarchy,
+    spec: &SweepSpec,
+    bound: impl Fn(&Permutation, usize, u64) -> f64 + Sync,
+    cost: impl Fn(&Permutation, usize, u64) -> f64 + Sync,
+) -> Vec<PrunedSweepCell> {
+    sweep_pruned_axis(
+        machine,
+        spec,
+        |_, _| (),
+        |sigma, s, bytes, _| bound(sigma, s, bytes),
+        |_, _, _, _| f64::NEG_INFINITY,
+        |sigma, s, bytes, _| cost(sigma, s, bytes),
+    )
+    .expect("valid spec")
+}
+
 /// Re-checks the acceptance property once, un-timed: byte-identical best
 /// orders and costs per cell, with the bound actually pruning. Returns
 /// `(evaluated, pruned)` totals over the grid.
@@ -77,7 +99,7 @@ fn check_byte_identical(machine: &Hierarchy, net: &NetworkModel, spec: &SweepSpe
         schedule_lower_bound(net, &merged_schedule(machine, sigma, s, bytes))
     };
     let exhaustive = sweep(machine, spec, cost).expect("valid spec");
-    let pruned = sweep_pruned(machine, spec, bound, cost).expect("valid spec");
+    let pruned = single_bound_sweep(machine, spec, bound, cost);
     assert_eq!(exhaustive.len(), pruned.len());
     let (mut evaluated, mut skipped) = (0u64, 0u64);
     for (e, p) in exhaustive.iter().zip(&pruned) {
@@ -121,7 +143,7 @@ fn bench_sweeps(
         sweep(black_box(machine), spec, cost).unwrap()
     });
     let pruned = b.bench("sweep/pruned/2x2-grid", || {
-        sweep_pruned(black_box(machine), spec, bound, cost).unwrap()
+        single_bound_sweep(black_box(machine), spec, bound, cost)
     });
 
     // The two-stage ladder: the merged schedule is prepared once per
@@ -131,7 +153,7 @@ fn bench_sweeps(
     // between calls), so this sample re-records `ladder_ns` without the
     // per-invocation spawn/join cost that produced the 1.007x anomaly.
     let run_ladder = || {
-        sweep_pruned_ladder(
+        common::ladder_grid(
             black_box(machine),
             spec,
             |sigma, s, bytes| merged_schedule(machine, sigma, s, bytes),
@@ -139,7 +161,6 @@ fn bench_sweeps(
             |_, _, _, merged| schedule_lower_bound(net, merged),
             |sigma, s, bytes, _| contended_duration(machine, net, sigma, s, bytes),
         )
-        .unwrap()
     };
     let ladder = b.bench("sweep/pruned-ladder/pooled/2x2-grid", run_ladder);
     // The same ladder with the fan-out forced serial — the pool is never
@@ -160,9 +181,9 @@ fn bench_sweeps(
             contended_duration(machine, net, sigma, s, bytes)
         })
     };
-    sweep_pruned(machine, spec, bound, cached_cost).unwrap();
+    single_bound_sweep(machine, spec, bound, cached_cost);
     let warm = b.bench("sweep/pruned+warm-cache/2x2-grid", || {
-        sweep_pruned(black_box(machine), spec, bound, cached_cost).unwrap()
+        single_bound_sweep(black_box(machine), spec, bound, cached_cost)
     });
     let (cache_hits, cache_misses) = cache.stats();
     SweepStats {
@@ -248,7 +269,7 @@ fn main() {
          subcommunicators\",\n    \"total_bytes\": {SELECTOR_BYTES},\n    \"cold_ns\": {:.1},\n    \
          \"warm_ns\": {:.1},\n    \"warm_speedup\": {:.3}\n  }},\n  \
          \"notes\": \"The prior record's 1.007x ladder_speedup at the default pool (vs 1.213x \
-         serial) was per-invocation thread spawn/join: every sweep_pruned_ladder call paid a \
+         serial) was per-invocation thread spawn/join: every pruned-ladder call paid a \
          fresh std::thread::scope. mre_core::par now spawns one process-global pool lazily and \
          parks the workers between fan-outs, so ladder_ns above is re-recorded with reused \
          workers; ladder_serial_ns is the same ladder with the fan-out forced serial \

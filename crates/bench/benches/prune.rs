@@ -4,11 +4,14 @@
 //! **Before** is the pruned path as it stood before the ladder: the
 //! serial incumbent loop with a single aggregate capacity bound, where
 //! the bound closure and the cost closure each rebuild the candidate's
-//! schedules from scratch. **After** is [`sweep_pruned_ladder`]: the
-//! schedules are prepared exactly once per candidate, the cheap
-//! aggregate rung orders the frontier, the per-rail histogram rung
-//! lazily re-checks the survivors, and the full contention solves are
-//! memoized in a [`SharedCostCache`] shared across the whole rail grid.
+//! schedules from scratch; the loop is bench-local ([`before_cell`]),
+//! as the library runs only the ladder engine. **After** is one
+//! [`rank_orders_pruned_ladder`](mre_core::order_search::rank_orders_pruned_ladder)
+//! call per grid cell: the schedules are prepared exactly once per
+//! candidate, the cheap aggregate rung orders the frontier, the per-rail
+//! histogram rung lazily re-checks the survivors, and the full contention
+//! solves are memoized in a [`SharedCostCache`] shared across the whole
+//! rail grid.
 //!
 //! Acceptance is asserted before any timing, per rail count and grid
 //! cell: the ladder's best order and best cost must be byte-identical
@@ -20,12 +23,13 @@
 //! Numbers land in `BENCH_prune.json` at the repo root — prune counts
 //! and wall-clock, before vs after, per rail count.
 
+mod common;
+
 use mre_bench::tinybench::{black_box, Bench, Stats};
-use mre_core::order_search::{
-    sweep, sweep_pruned_ladder, sweep_pruned_serial, PrunedSweepCell, SweepSpec,
-};
+use mre_core::order_search::{representatives, sweep, PruneStats, PrunedSweepCell, SweepSpec};
+use mre_core::par;
 use mre_core::subcomm::{subcommunicators, ColorScheme};
-use mre_core::{Hierarchy, Permutation};
+use mre_core::{Hierarchy, OrderCharacterization, Permutation};
 use mre_mpi::AlltoallAlg;
 use mre_simnet::presets::hydra_network_rails;
 use mre_simnet::{
@@ -71,24 +75,78 @@ fn jobs(
         .collect()
 }
 
-/// The pre-ladder pruned sweep: serial incumbent loop, aggregate bound,
+/// One cell of the pre-ladder pruned search: visit the candidates in
+/// ascending `(bound, enumeration index)` order, keep the best cost seen
+/// so far, and stop at the first bound that strictly exceeds it (bounds
+/// are sorted, so every later candidate is prunable too). Evaluated
+/// candidates are ranked by `(cost, enumeration index)`, the exhaustive
+/// sweep's tie-break.
+fn before_cell(
+    reps: &[OrderCharacterization],
+    bound: impl Fn(&Permutation) -> f64,
+    cost: impl Fn(&Permutation) -> f64,
+) -> (Vec<(OrderCharacterization, f64)>, PruneStats) {
+    let bounds: Vec<f64> = reps.iter().map(|c| bound(&c.order)).collect();
+    let mut visit: Vec<usize> = (0..reps.len()).collect();
+    visit.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
+    let mut evaluated: Vec<(usize, f64)> = Vec::new();
+    let mut incumbent: Option<f64> = None;
+    for &i in &visit {
+        if incumbent.is_some_and(|best| bounds[i].total_cmp(&best).is_gt()) {
+            break;
+        }
+        let c = cost(&reps[i].order);
+        incumbent = Some(incumbent.map_or(c, |best| best.min(c)));
+        evaluated.push((i, c));
+    }
+    evaluated.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+    let stats = PruneStats {
+        evaluated: evaluated.len() as u64,
+        pruned: (reps.len() - evaluated.len()) as u64,
+        tight_pruned: 0,
+    };
+    let ranked = evaluated
+        .into_iter()
+        .map(|(i, c)| (reps[i].clone(), c))
+        .collect();
+    (ranked, stats)
+}
+
+/// The pre-ladder pruned sweep: the grid's cells fan out on the worker
+/// pool, each running [`before_cell`] with the aggregate bound and with
 /// schedules rebuilt in the bound closure and again in the cost closure.
 fn before_sweep(machine: &Hierarchy, net: &NetworkModel, nics: usize) -> Vec<PrunedSweepCell> {
-    sweep_pruned_serial(
-        machine,
-        &spec(),
-        |sigma, s, bytes| {
-            let merged = Schedule::lockstep(&jobs(machine, sigma, s, bytes, nics));
-            schedule_lower_bound_aggregate(net, &merged)
-        },
-        |sigma, s, bytes| {
-            microbench(machine, sigma, s, bytes)
-                .run(net)
-                .expect("valid configuration")
-                .simultaneous_duration
-        },
-    )
-    .expect("valid spec")
+    let spec = spec();
+    let mut grid: Vec<(usize, u64, Vec<OrderCharacterization>)> = Vec::new();
+    for &s in &spec.subcomm_sizes {
+        let reps = representatives(machine, s).expect("valid spec");
+        for &bytes in &spec.payload_sizes {
+            grid.push((s, bytes, reps.clone()));
+        }
+    }
+    par::map(&grid, |_, (s, bytes, reps)| {
+        let (s, bytes) = (*s, *bytes);
+        let (ranked, stats) = before_cell(
+            reps,
+            |sigma| {
+                let merged = Schedule::lockstep(&jobs(machine, sigma, s, bytes, nics));
+                schedule_lower_bound_aggregate(net, &merged)
+            },
+            |sigma| {
+                microbench(machine, sigma, s, bytes)
+                    .run(net)
+                    .expect("valid configuration")
+                    .simultaneous_duration
+            },
+        );
+        PrunedSweepCell {
+            subcomm_size: s,
+            payload: bytes,
+            best: ranked[0].clone(),
+            ranked,
+            stats,
+        }
+    })
 }
 
 /// The ladder: prepare once, aggregate rung, per-rail rung, cached cost.
@@ -98,7 +156,7 @@ fn after_sweep(
     nics: usize,
     cache: &SharedCostCache,
 ) -> Vec<PrunedSweepCell> {
-    sweep_pruned_ladder(
+    common::ladder_grid(
         machine,
         &spec(),
         |sigma, s, bytes| Schedule::lockstep(&jobs(machine, sigma, s, bytes, nics)),
@@ -106,7 +164,6 @@ fn after_sweep(
         |_, _, _, merged| schedule_lower_bound(net, merged),
         |_, _, bytes, merged| cache.time_with(net, merged, bytes, || net.schedule_time(merged)),
     )
-    .expect("valid spec")
 }
 
 struct RailOutcome {

@@ -1,11 +1,13 @@
 //! Payload-axis benchmarks: the per-payload bound ladder vs the symbolic
 //! piecewise-linear axis sweep on the 1/2/4-rail Hydra grid.
 //!
-//! **Before** is the best pre-symbolic path: [`sweep_pruned_ladder`] with
-//! per-(candidate, payload) preparation — each payload grid point rebuilds
-//! the candidate's lockstep schedule, evaluates the aggregate and per-rail
-//! load bounds, and pays a full contention solve for every candidate the
-//! ladder admits (memoized per (pattern, payload)).
+//! **Before** is the best pre-symbolic path: one
+//! [`rank_orders_pruned_ladder`](mre_core::order_search::rank_orders_pruned_ladder)
+//! call per grid cell, so preparation is per (candidate, payload) — each
+//! payload grid point rebuilds the candidate's lockstep schedule,
+//! evaluates the aggregate and per-rail load bounds, and pays a full
+//! contention solve for every candidate the ladder admits (memoized per
+//! (pattern, payload)).
 //!
 //! **After** is [`sweep_pruned_axis`] with the symbolic payload engine
 //! (DESIGN.md §7h): one prepare per (subcommunicator size, candidate)
@@ -25,10 +27,10 @@
 //! root; the overall before/after speedup must clear 1.5x (the `ci.sh`
 //! smoke runs this with `--quick`).
 
+mod common;
+
 use mre_bench::tinybench::{black_box, Bench, Stats};
-use mre_core::order_search::{
-    sweep, sweep_pruned_axis, sweep_pruned_ladder, PrunedSweepCell, SweepSpec,
-};
+use mre_core::order_search::{sweep, sweep_pruned_axis, PrunedSweepCell, SweepSpec};
 use mre_core::subcomm::{subcommunicators, ColorScheme};
 use mre_core::{Hierarchy, Permutation};
 use mre_mpi::AlltoallAlg;
@@ -83,7 +85,7 @@ fn before_sweep(
     nics: usize,
     cache: &SharedCostCache,
 ) -> Vec<PrunedSweepCell> {
-    sweep_pruned_ladder(
+    common::ladder_grid(
         machine,
         &spec(),
         |sigma, s, bytes| merged(machine, sigma, s, bytes, nics),
@@ -91,7 +93,6 @@ fn before_sweep(
         |_, _, _, m| schedule_lower_bound(net, m),
         |_, _, bytes, m| cache.time_with(net, m, bytes, || net.schedule_time(m)),
     )
-    .expect("valid spec")
 }
 
 /// The symbolic axis sweep: one prepare (and one set of contention
@@ -267,7 +268,7 @@ fn main() {
          \"hydra_network_rails({NODES}, rails, round-robin) = [{NODES}, 2, 2, 8] ({} cores)\",\n    \
          \"collective\": \"pairwise alltoall, quotient subcommunicators, lockstep contention\",\n    \
          \"subcomm_sizes\": [16, 64],\n    \"payload_sizes\": [65536, 262144, 1048576, 4194304]\n  }},\n  \
-         \"before\": \"sweep_pruned_ladder: per-(candidate, payload) prepare, load bounds, per-(pattern, payload) memoized solves\",\n  \
+         \"before\": \"per-cell rank_orders_pruned_ladder: per-(candidate, payload) prepare, load bounds, per-(pattern, payload) memoized solves\",\n  \
          \"after\": \"sweep_pruned_axis: one prepare and one solve set per candidate, piecewise-linear envelope bounds, verified symbolic replay\",\n  \
          \"rails\": [\n{}\n  ],\n  \"overall_speedup\": {:.3},\n  \
          \"notes\": \"Winners and best costs are asserted byte-identical to the exhaustive sweep \

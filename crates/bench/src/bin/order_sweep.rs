@@ -100,6 +100,19 @@ fn take_value_flag<T>(
     Some(v)
 }
 
+/// The positional argument at `index` parsed as an integer, or `default`
+/// when it is left out. An unparsable value exits 1 with a message rather
+/// than silently running the default.
+fn positional<T: std::str::FromStr>(args: &[String], index: usize, name: &str, default: T) -> T {
+    let Some(text) = args.get(index) else {
+        return default;
+    };
+    text.parse().unwrap_or_else(|_| {
+        eprintln!("bad {name} {text:?}: expected a non-negative integer");
+        std::process::exit(1);
+    })
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
     let pruned_mode = args.iter().any(|a| a == "--pruned");
@@ -130,9 +143,9 @@ fn main() {
     })
     .unwrap_or(true);
     let hierarchy_text = args.get(1).map(String::as_str).unwrap_or("16,2,2,8");
-    let subcomm: usize = args.get(2).and_then(|a| a.parse().ok()).unwrap_or(16);
+    let subcomm: usize = positional(&args, 2, "SUBCOMM", 16);
     let collective_name = args.get(3).map(String::as_str).unwrap_or("alltoall");
-    let size: u64 = args.get(4).and_then(|a| a.parse().ok()).unwrap_or(4 << 20);
+    let size: u64 = positional(&args, 4, "SIZE_BYTES", 4 << 20);
 
     let machine = match Hierarchy::parse(hierarchy_text) {
         Ok(h) => h,

@@ -38,3 +38,37 @@ fn congestion_report_rejects_zero_nodes() {
     );
     assert_refused(&out, 2, "bad --nodes");
 }
+
+#[test]
+fn order_sweep_rejects_unparsable_positional_numbers() {
+    let out = run(
+        env!("CARGO_BIN_EXE_order_sweep"),
+        &["16,2,2,8", "16", "alltoall", "abc"],
+    );
+    assert_refused(&out, 1, "bad SIZE_BYTES \"abc\"");
+    let out = run(
+        env!("CARGO_BIN_EXE_order_sweep"),
+        &["16,2,2,8", "x16", "alltoall", "1024"],
+    );
+    assert_refused(&out, 1, "bad SUBCOMM \"x16\"");
+}
+
+#[test]
+fn trace_report_rejects_zero_nodes() {
+    let out = run(
+        env!("CARGO_BIN_EXE_trace_report"),
+        &["--machine", "hydra", "--nodes", "0"],
+    );
+    assert_refused(&out, 2, "bad --nodes");
+    let out = run(
+        env!("CARGO_BIN_EXE_trace_report"),
+        &["--machine", "lumi", "--nodes", "0"],
+    );
+    assert_refused(&out, 2, "bad --nodes");
+}
+
+#[test]
+fn trace_diff_rejects_zero_nodes() {
+    let out = run(env!("CARGO_BIN_EXE_trace_diff"), &["--nodes", "0"]);
+    assert_refused(&out, 2, "bad --nodes");
+}

@@ -17,25 +17,26 @@
 //! * [`sweep`] evaluates a whole (order × subcommunicator size × payload
 //!   size) grid in one parallel pass — the engine behind the figure
 //!   binaries' size sweeps;
-//! * [`rank_orders_pruned`] / [`sweep_pruned`] are the branch-and-bound
-//!   variants: candidates are visited in ascending order of a
-//!   caller-supplied **admissible lower bound** (e.g. `mre-simnet`'s
+//! * [`rank_orders_pruned_ladder`] / [`sweep_pruned_axis`] are the
+//!   branch-and-bound variants, both running one per-cell engine:
+//!   candidates are visited in ascending order of a caller-supplied
+//!   **admissible lower bound** (e.g. `mre-simnet`'s
 //!   `schedule_lower_bound`), and any candidate whose bound exceeds the
 //!   incumbent best cost is skipped without paying the full evaluation —
 //!   provably returning the same best order per cell (DESIGN.md §7e).
 //!   The frontier is evaluated **best-first in parallel** on the
 //!   [`crate::par`] worker pool against a shared atomic incumbent; the
-//!   winner stays byte-identical to the exhaustive sweep in every
-//!   interleaving (see [`rank_orders_pruned`] for the argument), while
-//!   [`rank_orders_pruned_serial`] / [`sweep_pruned_serial`] keep the
-//!   fully deterministic single-thread loop as the differential oracle;
-//! * [`rank_orders_pruned_ladder`] / [`sweep_pruned_ladder`] add the
-//!   two-stage **bound ladder** (DESIGN.md §7g): a per-candidate
+//!   winner stays byte-identical to the exhaustive search in every
+//!   interleaving, and on one worker (`MRE_PAR_THREADS=1`) the same loop
+//!   runs inline with a deterministic evaluated/pruned split. Both take
+//!   the two-stage **bound ladder** (DESIGN.md §7g): a per-candidate
 //!   `prepare` artifact built exactly once (typically the collective
 //!   schedules — the dominant per-candidate cost), a cheap bound
 //!   computed for every candidate to order the frontier, and a tighter
 //!   still-admissible bound evaluated lazily only for candidates the
-//!   cheap rung fails to prune.
+//!   cheap rung fails to prune. [`sweep_pruned_axis`] also hoists
+//!   `prepare` out of the payload axis. The exhaustive [`rank_orders_by`]
+//!   and [`sweep`] are the oracles the pruned searches are tested against.
 
 use crate::error::Error;
 use crate::hierarchy::Hierarchy;
@@ -156,7 +157,8 @@ pub struct PruneStats {
     pub pruned: u64,
     /// The subset of `pruned` skipped by the **tight** ladder rung — the
     /// candidates the cheap bound let through but the lazily-evaluated
-    /// tighter bound rejected. Zero for single-bound searches.
+    /// tighter bound rejected. Zero when the tight rung is
+    /// `|..| f64::NEG_INFINITY` (a single-bound search).
     pub tight_pruned: u64,
 }
 
@@ -208,12 +210,12 @@ impl SearchTiming {
     }
 }
 
-/// Result of [`rank_orders_pruned`]: the provably-best order plus the
-/// subset of candidates that were actually evaluated.
+/// Result of [`rank_orders_pruned_ladder`]: the provably-best order plus
+/// the subset of candidates that were actually evaluated.
 #[derive(Debug, Clone)]
 pub struct PrunedRanking {
     /// The best `(characterization, cost)` — byte-identical to
-    /// `rank_orders_by(...)[0]` when the bound is admissible.
+    /// `rank_orders_by(...)[0]` when the bounds are admissible.
     pub best: (OrderCharacterization, f64),
     /// The evaluated candidates, lowest cost first (pruned candidates are
     /// absent — their exact costs were never computed).
@@ -222,82 +224,8 @@ pub struct PrunedRanking {
     pub stats: PruneStats,
 }
 
-/// The visit order of the frontier: candidate indices sorted by
-/// `(cheap bound, enumeration index)` ascending.
-fn visit_order(bounds: &[f64]) -> Vec<usize> {
-    let mut visit: Vec<usize> = (0..bounds.len()).collect();
-    visit.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
-    visit
-}
-
-/// Serial branch-and-bound core — the deterministic oracle behind
-/// [`rank_orders_pruned_serial`] / [`sweep_pruned_serial`], and the
-/// fallback of the parallel engine on one worker: visit candidates in
-/// ascending `(bound, enumeration index)` order, keep a `(cost,
-/// enumeration index)` incumbent, and stop at the first candidate whose
-/// cheap bound *strictly* exceeds the incumbent cost (cheap bounds are
-/// sorted, so every later candidate is prunable too). A candidate the
-/// cheap rung admits is optionally re-checked against a lazily-evaluated
-/// `tight` bound; a tight rejection skips only that candidate (tight
-/// bounds are not sorted).
-///
-/// Strict inequality and the index tie-breaks are what make the result
-/// byte-identical to the exhaustive search: a candidate whose bound
-/// *equals* the incumbent cost could still tie it with a smaller
-/// enumeration index, so it must be evaluated; and any candidate whose
-/// true cost equals the final best has (by admissibility of **both**
-/// rungs) bounds ≤ that cost ≤ every incumbent, hence is never skipped.
-///
-/// Returns evaluated `(enumeration index, cost)` pairs sorted by
-/// `(cost, enumeration index)` — position 0 is the provable optimum —
-/// plus the prune counters.
-fn branch_and_bound_serial(
-    bounds: &[f64],
-    tight: Option<&dyn Fn(usize) -> f64>,
-    cost: &mut dyn FnMut(usize) -> f64,
-) -> (Vec<(usize, f64)>, PruneStats) {
-    let visit = visit_order(bounds);
-    let mut evaluated: Vec<(usize, f64)> = Vec::new();
-    let mut incumbent: Option<(f64, usize)> = None;
-    let mut pruned = 0u64;
-    let mut tight_pruned = 0u64;
-    for (pos, &i) in visit.iter().enumerate() {
-        if let Some((best_cost, _)) = incumbent {
-            if bounds[i].total_cmp(&best_cost) == std::cmp::Ordering::Greater {
-                pruned += (visit.len() - pos) as u64;
-                break;
-            }
-            if let Some(tight) = tight {
-                if tight(i).total_cmp(&best_cost) == std::cmp::Ordering::Greater {
-                    pruned += 1;
-                    tight_pruned += 1;
-                    continue;
-                }
-            }
-        }
-        let c = cost(i);
-        evaluated.push((i, c));
-        incumbent = Some(match incumbent {
-            None => (c, i),
-            Some((bc, bi)) => match c.total_cmp(&bc) {
-                std::cmp::Ordering::Less => (c, i),
-                std::cmp::Ordering::Equal if i < bi => (c, i),
-                _ => (bc, bi),
-            },
-        });
-    }
-    evaluated.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-    let stats = PruneStats {
-        evaluated: evaluated.len() as u64,
-        pruned,
-        tight_pruned,
-    };
-    (evaluated, stats)
-}
-
 /// Lowers `current` to `candidate` if smaller (by `total_cmp`), CAS-ing
-/// on the f64's bit pattern — the shared incumbent of the parallel
-/// frontier.
+/// on the f64's bit pattern — the shared incumbent of the frontier.
 fn cas_min_f64(current: &std::sync::atomic::AtomicU64, candidate: f64) {
     use std::sync::atomic::Ordering;
     let mut cur = current.load(Ordering::Acquire);
@@ -314,9 +242,11 @@ fn cas_min_f64(current: &std::sync::atomic::AtomicU64, candidate: f64) {
     }
 }
 
-/// Parallel best-first branch-and-bound: the bound-ordered frontier is
-/// drained by the [`crate::par`] worker pool against a shared atomic
-/// incumbent (CAS on the cost's f64 bits).
+/// The branch-and-bound engine of one grid cell, behind both
+/// [`rank_orders_pruned_ladder`] and [`sweep_pruned_axis`]: the frontier
+/// of `reps`, ordered by `(bounds[i], i)` ascending (`bounds` is the
+/// cheap rung), is drained best-first by the [`crate::par`] worker pool
+/// against a shared atomic incumbent (CAS on the cost's f64 bits).
 ///
 /// The bound-minimal candidate is costed **serially first** to seed the
 /// incumbent — without it, `threads ≥ candidates` would cost the whole
@@ -325,38 +255,44 @@ fn cas_min_f64(current: &std::sync::atomic::AtomicU64, candidate: f64) {
 /// cheap bound strictly exceeds the current incumbent proves every later
 /// position prunable too (bounds ascend along the visit order and the
 /// incumbent only decreases), so the worker forwards the cursor past the
-/// end and retires.
+/// end and retires. A candidate the cheap rung admits is re-checked
+/// against the lazily-evaluated `tight(i)`; a tight rejection skips only
+/// that candidate (tight bounds are not sorted). With one worker
+/// (`MRE_PAR_THREADS=1`, or at most two candidates) [`par::broadcast`]
+/// runs the loop inline and the evaluated/pruned split is deterministic.
 ///
-/// **Determinism.** The set of candidates that pay the full cost may vary
-/// with scheduling (a worker can claim a candidate an instant before a
-/// better incumbent lands), but the *winner* cannot: any candidate whose
-/// true cost equals the global minimum has (by admissibility) every bound
-/// ≤ that cost ≤ every intermediate incumbent, so no interleaving ever
-/// prunes it, and the final `(cost, enumeration index)` sort breaks ties
-/// exactly like the serial and exhaustive paths. `PruneStats::candidates`
-/// is likewise interleaving-invariant.
-fn branch_and_bound_par(
+/// **Determinism.** Strict inequality and the `(cost, enumeration index)`
+/// tie-break make the winner byte-identical to the exhaustive search in
+/// every interleaving: any candidate whose true cost equals the global
+/// minimum has (by admissibility of **both** rungs) every bound ≤ that
+/// cost ≤ every intermediate incumbent, so no interleaving ever prunes
+/// it, and a candidate whose bound merely *equals* the incumbent is still
+/// costed, as it could tie with a smaller index. The set of candidates
+/// that pay the full cost may vary with scheduling (a worker can claim a
+/// candidate an instant before a better incumbent lands);
+/// `PruneStats::candidates` cannot.
+fn branch_and_bound(
+    reps: &[OrderCharacterization],
     bounds: &[f64],
-    tight: Option<&(dyn Fn(usize) -> f64 + Sync)>,
+    timing: &SearchTiming,
+    tight: &(dyn Fn(usize) -> f64 + Sync),
     cost: &(dyn Fn(usize) -> f64 + Sync),
-) -> (Vec<(usize, f64)>, PruneStats) {
+) -> PrunedRanking {
     use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
     let n = bounds.len();
-    let workers = par::threads().min(n.saturating_sub(1));
-    if workers <= 1 {
-        let serial_tight: Option<&dyn Fn(usize) -> f64> = tight.map(|t| t as _);
-        return branch_and_bound_serial(bounds, serial_tight, &mut |i| cost(i));
-    }
-    let visit = visit_order(bounds);
-    let seed_index = visit[0];
-    let seed_cost = cost(seed_index);
+    let mut visit: Vec<usize> = (0..n).collect();
+    visit.sort_by(|&a, &b| bounds[a].total_cmp(&bounds[b]).then(a.cmp(&b)));
+    let seed_index = *visit
+        .first()
+        .expect("a valid subcommunicator size has at least one representative order");
+    let seed_cost = timing.cost(|| cost(seed_index));
     let incumbent = AtomicU64::new(seed_cost.to_bits());
     let evaluated = std::sync::Mutex::new(vec![(seed_index, seed_cost)]);
     let tight_pruned = AtomicU64::new(0);
     let cursor = AtomicUsize::new(1);
-    par::broadcast(workers, |_| loop {
+    par::broadcast(par::threads().min(n - 1), |_| loop {
         let pos = cursor.fetch_add(1, Ordering::SeqCst);
-        if pos >= visit.len() {
+        if pos >= n {
             break;
         }
         let i = visit[pos];
@@ -367,28 +303,39 @@ fn branch_and_bound_par(
             // the cursor so idle workers retire immediately. (A worker
             // that claimed a position just before this store still prunes
             // it on its own check — same monotonicity.)
-            cursor.store(visit.len(), Ordering::SeqCst);
+            cursor.store(n, Ordering::SeqCst);
             break;
         }
-        if let Some(tight) = tight {
-            let best = f64::from_bits(incumbent.load(Ordering::Acquire));
-            if tight(i).total_cmp(&best) == std::cmp::Ordering::Greater {
-                tight_pruned.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
+        let best = f64::from_bits(incumbent.load(Ordering::Acquire));
+        if timing.bound(|| tight(i)).total_cmp(&best) == std::cmp::Ordering::Greater {
+            tight_pruned.fetch_add(1, Ordering::Relaxed);
+            continue;
         }
-        let c = cost(i);
+        let c = timing.cost(|| cost(i));
         cas_min_f64(&incumbent, c);
-        evaluated.lock().unwrap().push((i, c));
+        evaluated
+            .lock()
+            .expect("a worker panicked while recording a cost")
+            .push((i, c));
     });
-    let mut evaluated = evaluated.into_inner().unwrap();
+    let mut evaluated = evaluated
+        .into_inner()
+        .expect("a worker panicked while recording a cost");
     evaluated.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
     let stats = PruneStats {
         evaluated: evaluated.len() as u64,
-        pruned: n as u64 - evaluated.len() as u64,
+        pruned: (n - evaluated.len()) as u64,
         tight_pruned: tight_pruned.load(Ordering::Relaxed),
     };
-    (evaluated, stats)
+    let ranked: Vec<(OrderCharacterization, f64)> = evaluated
+        .into_iter()
+        .map(|(i, c)| (reps[i].clone(), c))
+        .collect();
+    PrunedRanking {
+        best: ranked[0].clone(),
+        ranked,
+        stats,
+    }
 }
 
 fn emit_prune_telemetry(stats: PruneStats, timing: &SearchTiming) {
@@ -408,91 +355,8 @@ fn emit_prune_telemetry(stats: PruneStats, timing: &SearchTiming) {
     }
 }
 
-/// Builds a [`PrunedRanking`] from the engine's evaluated set.
-fn assemble_ranking(
-    reps: &[OrderCharacterization],
-    evaluated: Vec<(usize, f64)>,
-    stats: PruneStats,
-) -> PrunedRanking {
-    let ranked: Vec<(OrderCharacterization, f64)> = evaluated
-        .into_iter()
-        .map(|(i, c)| (reps[i].clone(), c))
-        .collect();
-    let best = ranked
-        .first()
-        .cloned()
-        .expect("a valid subcommunicator size has at least one representative order");
-    PrunedRanking {
-        best,
-        ranked,
-        stats,
-    }
-}
-
-/// Branch-and-bound variant of [`rank_orders_by`]: candidates are ordered
-/// by `bound` ascending and drained best-first by the [`crate::par`]
-/// worker pool against a shared atomic incumbent; any candidate whose
-/// bound exceeds the incumbent best cost is skipped without paying the
-/// full evaluation.
-///
-/// `bound` **must be admissible** — `bound(σ) ≤ cost(σ)` for every
-/// candidate (e.g. `mre-simnet::schedule_lower_bound` of the schedule
-/// that `cost` ends up costing). Under that contract the returned
-/// [`PrunedRanking::best`] is byte-identical to the exhaustive
-/// `rank_orders_by(...)[0]` **in every thread interleaving**: the
-/// bound-minimal candidate is costed serially first to seed the
-/// incumbent, a cost-minimal candidate's bound never exceeds any
-/// incumbent (admissibility), so it is never skipped, and the final
-/// `(cost, enumeration index)` sort breaks ties exactly like the
-/// exhaustive path. A non-admissible bound can prune the true optimum.
-/// The evaluated/pruned *split* can vary with scheduling (never the
-/// total); [`rank_orders_pruned_serial`] pins it when exact counters
-/// matter (`MRE_PAR_THREADS=1` forces the same).
-pub fn rank_orders_pruned<B, F>(
-    h: &Hierarchy,
-    subcomm_size: usize,
-    bound: B,
-    cost: F,
-) -> Result<PrunedRanking, Error>
-where
-    B: Fn(&Permutation) -> f64 + Sync,
-    F: Fn(&Permutation) -> f64 + Sync,
-{
-    let reps = representatives(h, subcomm_size)?;
-    let timing = SearchTiming::default();
-    let bounds = par::map(&reps, |_, c| timing.bound(|| bound(&c.order)));
-    let (evaluated, stats) =
-        branch_and_bound_par(&bounds, None, &|i| timing.cost(|| cost(&reps[i].order)));
-    emit_prune_telemetry(stats, &timing);
-    Ok(assemble_ranking(&reps, evaluated, stats))
-}
-
-/// The single-threaded spelling of [`rank_orders_pruned`] — the
-/// differential oracle for the parallel frontier (property-tested to
-/// return the same winner, cost, and candidate total), and the variant
-/// whose evaluated/pruned split is fully deterministic. Also accepts a
-/// stateful `FnMut` cost.
-pub fn rank_orders_pruned_serial<B, F>(
-    h: &Hierarchy,
-    subcomm_size: usize,
-    bound: B,
-    mut cost: F,
-) -> Result<PrunedRanking, Error>
-where
-    B: Fn(&Permutation) -> f64 + Sync,
-    F: FnMut(&Permutation) -> f64,
-{
-    let reps = representatives(h, subcomm_size)?;
-    let timing = SearchTiming::default();
-    let bounds = par::map(&reps, |_, c| timing.bound(|| bound(&c.order)));
-    let (evaluated, stats) =
-        branch_and_bound_serial(&bounds, None, &mut |i| timing.cost(|| cost(&reps[i].order)));
-    emit_prune_telemetry(stats, &timing);
-    Ok(assemble_ranking(&reps, evaluated, stats))
-}
-
-/// [`rank_orders_pruned`] with the two-stage **bound ladder** and
-/// per-candidate preparation (DESIGN.md §7g).
+/// Branch-and-bound variant of [`rank_orders_by`] with the two-stage
+/// **bound ladder** and per-candidate preparation (DESIGN.md §7e, §7g).
 ///
 /// Per candidate σ, `prepare(σ)` builds an artifact `P` exactly once —
 /// typically the collective schedules, the dominant per-candidate cost —
@@ -506,13 +370,37 @@ where
 ///    dominates the aggregate on railed fabrics;
 /// 3. `cost(σ, &P)` runs only for candidates both rungs admit.
 ///
+/// A single-bound search is the ladder with a unit `prepare` and a
+/// `|_, _| f64::NEG_INFINITY` tight rung, which never prunes.
+///
 /// **Both bounds must be admissible** (`cheap(σ) ≤ cost(σ)` and
-/// `tight(σ) ≤ cost(σ)` pointwise); then the winner is byte-identical to
-/// the exhaustive search by the same argument as [`rank_orders_pruned`].
-/// `tight` need not dominate `cheap` for correctness — only for the
-/// second rung to ever pay off. [`PruneStats::tight_pruned`] counts its
-/// wins; the `core.order_search.bound.{bound_ns,cost_ns}` telemetry
-/// counters expose the ladder-vs-cost time split.
+/// `tight(σ) ≤ cost(σ)` pointwise, e.g. `mre-simnet`'s
+/// `schedule_lower_bound` of the schedule `cost` prices). Under that
+/// contract the returned [`PrunedRanking::best`] is byte-identical to the
+/// exhaustive `rank_orders_by(...)[0]` **in every thread interleaving**;
+/// a non-admissible bound can prune the true optimum. `tight` need not
+/// dominate `cheap` for correctness — only for the second rung to ever
+/// pay off. The evaluated/pruned *split* can vary with scheduling (never
+/// the total); `MRE_PAR_THREADS=1` pins it. [`PruneStats::tight_pruned`]
+/// counts the second rung's wins; the
+/// `core.order_search.bound.{bound_ns,cost_ns}` telemetry counters expose
+/// the ladder-vs-cost time split.
+///
+/// ```
+/// use mre_core::{Hierarchy, order_search::{rank_orders_by, rank_orders_pruned_ladder}};
+/// let h = Hierarchy::new(vec![4, 2, 8]).unwrap();
+/// let cost = |sigma: &mre_core::Permutation| sigma.apply(0) as f64 + 1.0;
+/// let pruned = rank_orders_pruned_ladder(
+///     &h,
+///     8,
+///     |_| (),
+///     |sigma, _| cost(sigma) * 0.5,
+///     |_, _| f64::NEG_INFINITY,
+///     |sigma, _| cost(sigma),
+/// )
+/// .unwrap();
+/// assert_eq!(pruned.best, rank_orders_by(&h, 8, cost).unwrap()[0]);
+/// ```
 pub fn rank_orders_pruned_ladder<P, Prep, B1, B2, F>(
     h: &Hierarchy,
     subcomm_size: usize,
@@ -539,12 +427,15 @@ where
     })
     .into_iter()
     .unzip();
-    let tight_rung = |i: usize| timing.bound(|| tight(&reps[i].order, &prepared[i]));
-    let (evaluated, stats) = branch_and_bound_par(&bounds, Some(&tight_rung), &|i| {
-        timing.cost(|| cost(&reps[i].order, &prepared[i]))
-    });
-    emit_prune_telemetry(stats, &timing);
-    Ok(assemble_ranking(&reps, evaluated, stats))
+    let ranking = branch_and_bound(
+        &reps,
+        &bounds,
+        &timing,
+        &|i| tight(&reps[i].order, &prepared[i]),
+        &|i| cost(&reps[i].order, &prepared[i]),
+    );
+    emit_prune_telemetry(ranking.stats, &timing);
+    Ok(ranking)
 }
 
 /// The grid a [`sweep`] evaluates: every representative order of each
@@ -579,6 +470,24 @@ fn dedup_axis<T: Copy + Eq + std::hash::Hash>(values: &[T]) -> (Vec<T>, Vec<usiz
         positions.push(i);
     }
     (unique, positions)
+}
+
+/// Expands the cells of a deduplicated grid (sizes outer, `payloads`
+/// distinct payloads inner) back to spec order: duplicate spec positions
+/// clone their cell.
+fn expand_to_spec<T: Clone>(
+    unique_cells: &[T],
+    size_pos: &[usize],
+    payload_pos: &[usize],
+    payloads: usize,
+) -> Vec<T> {
+    let mut cells = Vec::with_capacity(size_pos.len() * payload_pos.len());
+    for &si in size_pos {
+        for &pi in payload_pos {
+            cells.push(unique_cells[si * payloads + pi].clone());
+        }
+    }
+    cells
 }
 
 /// One (subcommunicator size, payload size) cell of a sweep: the
@@ -661,17 +570,15 @@ where
     for cell in &mut unique_cells {
         cell.ranked.sort_by(|a, b| a.1.total_cmp(&b.1));
     }
-    // Expand back to spec order (duplicate positions clone their cell).
-    let mut cells = Vec::with_capacity(size_pos.len() * payload_pos.len());
-    for &si in &size_pos {
-        for &pi in &payload_pos {
-            cells.push(unique_cells[si * payloads.len() + pi].clone());
-        }
-    }
-    Ok(cells)
+    Ok(expand_to_spec(
+        &unique_cells,
+        &size_pos,
+        &payload_pos,
+        payloads.len(),
+    ))
 }
 
-/// One cell of a [`sweep_pruned`]: the provably-best order plus the
+/// One cell of a [`sweep_pruned_axis`]: the provably-best order plus the
 /// evaluated subset and prune counters.
 #[derive(Debug, Clone)]
 pub struct PrunedSweepCell {
@@ -681,7 +588,7 @@ pub struct PrunedSweepCell {
     pub payload: u64,
     /// The best `(characterization, cost)` — byte-identical to the
     /// corresponding exhaustive [`SweepCell`]'s `ranked[0]` when the
-    /// bound is admissible.
+    /// bounds are admissible.
     pub best: (OrderCharacterization, f64),
     /// The evaluated candidates, lowest cost first (pruned candidates
     /// are absent).
@@ -690,185 +597,12 @@ pub struct PrunedSweepCell {
     pub stats: PruneStats,
 }
 
-/// Builds a [`PrunedSweepCell`] from one cell's engine output.
-fn assemble_cell(
-    reps: &[OrderCharacterization],
-    subcomm_size: usize,
-    payload: u64,
-    evaluated: Vec<(usize, f64)>,
-    stats: PruneStats,
-) -> PrunedSweepCell {
-    let ranked: Vec<(OrderCharacterization, f64)> = evaluated
-        .into_iter()
-        .map(|(i, c)| (reps[i].clone(), c))
-        .collect();
-    let best = ranked
-        .first()
-        .cloned()
-        .expect("a valid subcommunicator size has at least one representative order");
-    PrunedSweepCell {
-        subcomm_size,
-        payload,
-        best,
-        ranked,
-        stats,
-    }
-}
-
-/// Expands deduplicated cells back to spec order and emits the aggregate
-/// prune telemetry.
-fn expand_cells(
-    unique_cells: Vec<PrunedSweepCell>,
-    size_pos: &[usize],
-    payload_pos: &[usize],
-    payloads: usize,
-    timing: &SearchTiming,
-) -> Vec<PrunedSweepCell> {
-    let total = unique_cells
-        .iter()
-        .fold(PruneStats::default(), |acc, c| acc.merge(c.stats));
-    emit_prune_telemetry(total, timing);
-    let mut cells = Vec::with_capacity(size_pos.len() * payload_pos.len());
-    for &si in size_pos {
-        for &pi in payload_pos {
-            cells.push(unique_cells[si * payloads + pi].clone());
-        }
-    }
-    cells
-}
-
-/// The lazily-evaluated second ladder rung as [`sweep_pruned_impl`] sees
-/// it: `None` for the single-bound [`sweep_pruned`].
-type TightRung<'a, P> = Option<&'a (dyn Fn(&Permutation, usize, u64, &P) -> f64 + Sync)>;
-
-/// Shared ladder sweep: distinct cells run in sequence, each draining its
-/// bound-ordered frontier on the worker pool ([`branch_and_bound_par`]).
-/// `tight` is `None` for the single-bound [`sweep_pruned`].
-fn sweep_pruned_impl<P, Prep, B1, F>(
-    h: &Hierarchy,
-    spec: &SweepSpec,
-    prepare: &Prep,
-    cheap: &B1,
-    tight: TightRung<'_, P>,
-    cost: &F,
-) -> Result<Vec<PrunedSweepCell>, Error>
-where
-    P: Send + Sync,
-    Prep: Fn(&Permutation, usize, u64) -> P + Sync,
-    B1: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
-    F: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
-{
-    let (sizes, size_pos) = dedup_axis(&spec.subcomm_sizes);
-    let (payloads, payload_pos) = dedup_axis(&spec.payload_sizes);
-    let reps_per_size: Vec<Vec<OrderCharacterization>> = sizes
-        .iter()
-        .map(|&s| representatives(h, s))
-        .collect::<Result<_, _>>()?;
-    let timing = SearchTiming::default();
-    let mut unique_cells: Vec<PrunedSweepCell> = Vec::with_capacity(sizes.len() * payloads.len());
-    // Cells run in sequence — the worker pool drains each cell's frontier,
-    // so nesting a second fan-out across cells would only oversubscribe.
-    for (si, reps) in reps_per_size.iter().enumerate() {
-        for &payload in &payloads {
-            let subcomm_size = sizes[si];
-            let (prepared, bounds): (Vec<P>, Vec<f64>) = par::map(reps, |_, c| {
-                timing.bound(|| {
-                    let p = prepare(&c.order, subcomm_size, payload);
-                    let b = cheap(&c.order, subcomm_size, payload, &p);
-                    (p, b)
-                })
-            })
-            .into_iter()
-            .unzip();
-            let tight_holder;
-            let tight_rung: Option<&(dyn Fn(usize) -> f64 + Sync)> = match tight {
-                Some(t) => {
-                    tight_holder = |i: usize| {
-                        timing.bound(|| t(&reps[i].order, subcomm_size, payload, &prepared[i]))
-                    };
-                    Some(&tight_holder)
-                }
-                None => None,
-            };
-            let (evaluated, stats) = branch_and_bound_par(&bounds, tight_rung, &|i| {
-                timing.cost(|| cost(&reps[i].order, subcomm_size, payload, &prepared[i]))
-            });
-            unique_cells.push(assemble_cell(reps, subcomm_size, payload, evaluated, stats));
-        }
-    }
-    Ok(expand_cells(
-        unique_cells,
-        &size_pos,
-        &payload_pos,
-        payloads.len(),
-        &timing,
-    ))
-}
-
-/// Branch-and-bound variant of [`sweep`]: one incumbent per grid cell,
-/// candidates visited in ascending lower-bound order, and every candidate
-/// whose bound exceeds the incumbent skipped without evaluating `cost`.
-///
-/// `bound(σ, subcomm_size, payload)` **must be admissible** —
-/// `bound ≤ cost` pointwise (see [`rank_orders_pruned`]); then each
-/// cell's [`PrunedSweepCell::best`] is byte-identical to the exhaustive
-/// [`sweep`]'s `ranked[0]` for that cell, in every thread interleaving.
-/// Distinct cells run in sequence; *within* each cell the bound-ordered
-/// frontier is drained best-first by the worker pool against a shared
-/// atomic incumbent ([`rank_orders_pruned`] describes the engine and its
-/// determinism guarantees; [`sweep_pruned_serial`] pins the
-/// evaluated/pruned split when exact counters matter).
-///
-/// Emits `core.order_search.bound.{evaluated, pruned, tight_pruned,
-/// bound_ns, cost_ns}` telemetry counters aggregated over all distinct
-/// cells.
-pub fn sweep_pruned<B, F>(
-    h: &Hierarchy,
-    spec: &SweepSpec,
-    bound: B,
-    cost: F,
-) -> Result<Vec<PrunedSweepCell>, Error>
-where
-    B: Fn(&Permutation, usize, u64) -> f64 + Sync,
-    F: Fn(&Permutation, usize, u64) -> f64 + Sync,
-{
-    sweep_pruned_impl(
-        h,
-        spec,
-        &|_: &Permutation, _, _| (),
-        &|sigma: &Permutation, s, p, _: &()| bound(sigma, s, p),
-        None,
-        &|sigma: &Permutation, s, p, _: &()| cost(sigma, s, p),
-    )
-}
-
-/// [`sweep_pruned`] with the two-stage bound ladder and per-candidate
-/// preparation — the grid counterpart of [`rank_orders_pruned_ladder`]
-/// (same admissibility contract for **both** rungs, same winner
-/// guarantee, same telemetry).
-pub fn sweep_pruned_ladder<P, Prep, B1, B2, F>(
-    h: &Hierarchy,
-    spec: &SweepSpec,
-    prepare: Prep,
-    cheap: B1,
-    tight: B2,
-    cost: F,
-) -> Result<Vec<PrunedSweepCell>, Error>
-where
-    P: Send + Sync,
-    Prep: Fn(&Permutation, usize, u64) -> P + Sync,
-    B1: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
-    B2: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
-    F: Fn(&Permutation, usize, u64, &P) -> f64 + Sync,
-{
-    let tight_dyn: &(dyn Fn(&Permutation, usize, u64, &P) -> f64 + Sync) = &tight;
-    sweep_pruned_impl(h, spec, &prepare, &cheap, Some(tight_dyn), &cost)
-}
-
-/// [`sweep_pruned_ladder`] with the per-candidate preparation hoisted out
-/// of the payload axis: `prepare(σ, subcomm_size)` runs exactly **once per
-/// (subcommunicator size, candidate)** — not once per (candidate, payload)
-/// — and every payload cell of that size receives the same `&P`.
+/// Branch-and-bound variant of [`sweep`]: [`rank_orders_pruned_ladder`]
+/// over every distinct grid cell, with the per-candidate preparation
+/// hoisted out of the payload axis — `prepare(σ, subcomm_size)` runs
+/// exactly **once per (subcommunicator size, candidate)**, not once per
+/// (candidate, payload), and every payload cell of that size receives the
+/// same `&P`.
 ///
 /// This is the engine behind symbolic payload sweeps (DESIGN.md §7h): the
 /// artifact `P` captures everything payload-independent about a candidate
@@ -876,13 +610,18 @@ where
 /// piecewise-linear function of payload bytes — so an axis of `m` payload
 /// points pays the expensive preparation once instead of `m` times, and
 /// each cell's bound/cost evaluations are cheap per-payload lookups or
-/// replays against `&P`.
+/// replays against `&P`. A single-bound grid is a unit `prepare` plus a
+/// `|..| f64::NEG_INFINITY` tight rung; a grid whose preparation depends
+/// on the payload is one [`rank_orders_pruned_ladder`] call per cell.
 ///
 /// The admissibility contract and winner guarantee are exactly
-/// [`sweep_pruned_ladder`]'s: both rungs admissible pointwise (now also in
-/// `payload`) ⇒ every cell's [`PrunedSweepCell::best`] is byte-identical
-/// to the exhaustive [`sweep`]'s, in every thread interleaving. Telemetry
-/// is likewise aggregated over all distinct cells.
+/// [`rank_orders_pruned_ladder`]'s: both rungs admissible pointwise (now
+/// also in `payload`) ⇒ every cell's [`PrunedSweepCell::best`] is
+/// byte-identical to the exhaustive [`sweep`]'s, in every thread
+/// interleaving. Distinct cells run in sequence; *within* each cell the
+/// frontier is drained by the worker pool. The
+/// `core.order_search.bound.*` telemetry counters are aggregated over all
+/// distinct cells.
 pub fn sweep_pruned_axis<P, Prep, B1, B2, F>(
     h: &Hierarchy,
     spec: &SweepSpec,
@@ -906,8 +645,9 @@ where
         .collect::<Result<_, _>>()?;
     let timing = SearchTiming::default();
     let mut unique_cells: Vec<PrunedSweepCell> = Vec::with_capacity(sizes.len() * payloads.len());
-    for (si, reps) in reps_per_size.iter().enumerate() {
-        let subcomm_size = sizes[si];
+    // Cells run in sequence — the worker pool drains each cell's frontier,
+    // so nesting a second fan-out across cells would only oversubscribe.
+    for (reps, &subcomm_size) in reps_per_size.iter().zip(&sizes) {
         // The payload-independent prepare — once per candidate, shared by
         // every payload cell of this subcommunicator size.
         let prepared: Vec<P> = par::map(reps, |_, c| {
@@ -917,70 +657,35 @@ where
             let bounds: Vec<f64> = par::map(reps, |i, c| {
                 timing.bound(|| cheap(&c.order, subcomm_size, payload, &prepared[i]))
             });
-            let tight_rung = |i: usize| {
-                timing.bound(|| tight(&reps[i].order, subcomm_size, payload, &prepared[i]))
-            };
-            let (evaluated, stats) = branch_and_bound_par(&bounds, Some(&tight_rung), &|i| {
-                timing.cost(|| cost(&reps[i].order, subcomm_size, payload, &prepared[i]))
+            let PrunedRanking {
+                best,
+                ranked,
+                stats,
+            } = branch_and_bound(
+                reps,
+                &bounds,
+                &timing,
+                &|i| tight(&reps[i].order, subcomm_size, payload, &prepared[i]),
+                &|i| cost(&reps[i].order, subcomm_size, payload, &prepared[i]),
+            );
+            unique_cells.push(PrunedSweepCell {
+                subcomm_size,
+                payload,
+                best,
+                ranked,
+                stats,
             });
-            unique_cells.push(assemble_cell(reps, subcomm_size, payload, evaluated, stats));
         }
     }
-    Ok(expand_cells(
-        unique_cells,
-        &size_pos,
-        &payload_pos,
-        payloads.len(),
-        &timing,
-    ))
-}
-
-/// The fully deterministic spelling of [`sweep_pruned`]: distinct cells
-/// fan out on the worker pool and each runs the **serial** incumbent loop
-/// — the pre-frontier engine, kept as the differential oracle and as the
-/// baseline the `prune` bench measures the ladder against. Prune counters
-/// are exact and thread-count-independent.
-pub fn sweep_pruned_serial<B, F>(
-    h: &Hierarchy,
-    spec: &SweepSpec,
-    bound: B,
-    cost: F,
-) -> Result<Vec<PrunedSweepCell>, Error>
-where
-    B: Fn(&Permutation, usize, u64) -> f64 + Sync,
-    F: Fn(&Permutation, usize, u64) -> f64 + Sync,
-{
-    let (sizes, size_pos) = dedup_axis(&spec.subcomm_sizes);
-    let (payloads, payload_pos) = dedup_axis(&spec.payload_sizes);
-    let reps_per_size: Vec<Vec<OrderCharacterization>> = sizes
+    let total = unique_cells
         .iter()
-        .map(|&s| representatives(h, s))
-        .collect::<Result<_, _>>()?;
-    let timing = SearchTiming::default();
-    let mut grid: Vec<(usize, usize)> = Vec::with_capacity(sizes.len() * payloads.len());
-    for si in 0..sizes.len() {
-        for pi in 0..payloads.len() {
-            grid.push((si, pi));
-        }
-    }
-    let unique_cells: Vec<PrunedSweepCell> = par::map(&grid, |_, &(si, pi)| {
-        let reps = &reps_per_size[si];
-        let (subcomm_size, payload) = (sizes[si], payloads[pi]);
-        let bounds: Vec<f64> = reps
-            .iter()
-            .map(|c| timing.bound(|| bound(&c.order, subcomm_size, payload)))
-            .collect();
-        let (evaluated, stats) = branch_and_bound_serial(&bounds, None, &mut |i| {
-            timing.cost(|| cost(&reps[i].order, subcomm_size, payload))
-        });
-        assemble_cell(reps, subcomm_size, payload, evaluated, stats)
-    });
-    Ok(expand_cells(
-        unique_cells,
+        .fold(PruneStats::default(), |acc, c| acc.merge(c.stats));
+    emit_prune_telemetry(total, &timing);
+    Ok(expand_to_spec(
+        &unique_cells,
         &size_pos,
         &payload_pos,
         payloads.len(),
-        &timing,
     ))
 }
 
@@ -1157,22 +862,60 @@ mod tests {
         }
     }
 
+    /// A single-bound ranking: the ladder with a unit `prepare` and a
+    /// tight rung that never prunes.
+    fn single_bound_ranking(
+        h: &Hierarchy,
+        s: usize,
+        bound: impl Fn(&Permutation) -> f64 + Sync,
+        cost: impl Fn(&Permutation) -> f64 + Sync,
+    ) -> PrunedRanking {
+        rank_orders_pruned_ladder(
+            h,
+            s,
+            |_| (),
+            |sigma, _| bound(sigma),
+            |_, _| f64::NEG_INFINITY,
+            |sigma, _| cost(sigma),
+        )
+        .unwrap()
+    }
+
+    /// A single-bound grid: the axis sweep with a unit `prepare` and a
+    /// tight rung that never prunes.
+    fn single_bound_sweep(
+        h: &Hierarchy,
+        spec: &SweepSpec,
+        bound: impl Fn(&Permutation, usize, u64) -> f64 + Sync,
+        cost: impl Fn(&Permutation, usize, u64) -> f64 + Sync,
+    ) -> Vec<PrunedSweepCell> {
+        sweep_pruned_axis(
+            h,
+            spec,
+            |_, _| (),
+            |sigma, s, b, _| bound(sigma, s, b),
+            |_, _, _, _| f64::NEG_INFINITY,
+            |sigma, s, b, _| cost(sigma, s, b),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn pruned_ranking_matches_exhaustive_best_and_prunes() {
         let h = hydra();
         let cost = bb_cost(&h);
-        let result = rank_orders_pruned(
+        let result = single_bound_ranking(
             &h,
             16,
             |sigma| cost(sigma, 16, 1024) * 0.5,
             |sigma| cost(sigma, 16, 1024),
-        )
-        .unwrap();
+        );
         let exhaustive = rank_orders_by(&h, 16, |sigma| cost(sigma, 16, 1024)).unwrap();
         assert_eq!(result.best.0, exhaustive[0].0);
         assert_eq!(result.best.1.to_bits(), exhaustive[0].1.to_bits());
         assert_eq!(result.best, result.ranked[0].clone());
         assert!(result.stats.pruned > 0, "stats {:?}", result.stats);
+        assert_eq!(result.stats.tight_pruned, 0);
         assert_eq!(
             result.stats.candidates(),
             representatives(&h, 16).unwrap().len() as u64
@@ -1192,7 +935,7 @@ mod tests {
             payload_sizes: vec![1 << 10, 1 << 20],
         };
         let exhaustive = sweep(&h, &spec, &cost).unwrap();
-        let pruned = sweep_pruned(&h, &spec, |sigma, s, b| cost(sigma, s, b) * 0.5, &cost).unwrap();
+        let pruned = single_bound_sweep(&h, &spec, |sigma, s, b| cost(sigma, s, b) * 0.5, &cost);
         assert_eq!(exhaustive.len(), pruned.len());
         let mut total_pruned = 0;
         for (e, p) in exhaustive.iter().zip(&pruned) {
@@ -1206,28 +949,69 @@ mod tests {
     }
 
     #[test]
-    fn parallel_pruned_matches_serial_oracle() {
+    fn pruned_ranking_matches_exhaustive_across_payloads() {
         let h = hydra();
         let cost = bb_cost(&h);
+        let n = representatives(&h, 16).unwrap().len() as u64;
         for payload in [1u64, 1024, 1 << 20] {
-            let serial = rank_orders_pruned_serial(
+            let exhaustive = rank_orders_by(&h, 16, |sigma| cost(sigma, 16, payload)).unwrap();
+            let pruned = single_bound_ranking(
                 &h,
                 16,
                 |sigma| cost(sigma, 16, payload) * 0.5,
                 |sigma| cost(sigma, 16, payload),
-            )
-            .unwrap();
-            let parallel = rank_orders_pruned(
-                &h,
-                16,
-                |sigma| cost(sigma, 16, payload) * 0.5,
-                |sigma| cost(sigma, 16, payload),
-            )
-            .unwrap();
-            assert_eq!(serial.best.0, parallel.best.0, "winner order must agree");
-            assert_eq!(serial.best.1.to_bits(), parallel.best.1.to_bits());
-            assert_eq!(serial.stats.candidates(), parallel.stats.candidates());
+            );
+            assert_eq!(exhaustive[0].0, pruned.best.0, "winner order must agree");
+            assert_eq!(exhaustive[0].1.to_bits(), pruned.best.1.to_bits());
+            assert_eq!(pruned.stats.candidates(), n);
         }
+    }
+
+    #[test]
+    fn ladder_pins_exact_counts_on_two_candidates() {
+        // [2, 4] with subcommunicators of 2 has exactly two mapping
+        // classes, so the engine runs its one-worker inline path and
+        // every counter is exact. Per candidate the prepared artifact is
+        // `(cheap, tight, cost)`; candidate 0 (the bound-minimal seed)
+        // costs 2.
+        let h = Hierarchy::new(vec![2, 4]).unwrap();
+        let reps = representatives(&h, 2).unwrap();
+        assert_eq!(reps.len(), 2);
+        let run = |second: (f64, f64, f64)| {
+            let table = [(1.0, 1.0, 2.0), second];
+            rank_orders_pruned_ladder(
+                &h,
+                2,
+                |sigma| table[reps.iter().position(|r| &r.order == sigma).unwrap()],
+                |_, p| p.0,
+                |_, p| p.1,
+                |_, p| p.2,
+            )
+            .unwrap()
+        };
+        let stats = |evaluated, pruned, tight_pruned| PruneStats {
+            evaluated,
+            pruned,
+            tight_pruned,
+        };
+        // The cheap rung strictly exceeds the incumbent: pruned unseen.
+        let cheap = run((3.0, 3.0, 5.0));
+        assert_eq!(cheap.stats, stats(1, 1, 0));
+        assert_eq!(cheap.best.0, reps[0]);
+        // The cheap rung admits it, the tight rung rejects it.
+        let tight = run((1.5, 2.5, 5.0));
+        assert_eq!(tight.stats, stats(1, 1, 1));
+        // A bound equal to the incumbent is not a proof: it is costed,
+        // and wins the tie only with a smaller enumeration index.
+        let tie = run((1.5, 2.0, 2.0));
+        assert_eq!(tie.stats, stats(2, 0, 0));
+        assert_eq!(tie.best.0, reps[0]);
+        // A better second candidate replaces the seed.
+        let better = run((1.5, 1.5, 1.5));
+        assert_eq!(better.stats, stats(2, 0, 0));
+        assert_eq!(better.best.0, reps[1]);
+        assert_eq!(better.best.1, 1.5);
+        assert_eq!(better.ranked.len(), 2);
     }
 
     #[test]
@@ -1268,7 +1052,9 @@ mod tests {
     }
 
     #[test]
-    fn sweep_pruned_ladder_matches_exhaustive_grid() {
+    fn per_cell_ladder_matches_exhaustive_grid() {
+        // A grid whose preparation depends on the payload: one ladder call
+        // per (size, payload) cell.
         let h = hydra();
         let cost = bb_cost(&h);
         let spec = SweepSpec {
@@ -1276,21 +1062,23 @@ mod tests {
             payload_sizes: vec![1 << 10, 1 << 20],
         };
         let exhaustive = sweep(&h, &spec, &cost).unwrap();
-        let ladder = sweep_pruned_ladder(
-            &h,
-            &spec,
-            |sigma: &Permutation, s, b| cost(sigma, s, b),
-            |_, _, _, &exact: &f64| exact * 0.5,
-            |_, _, _, &exact: &f64| exact * 0.9,
-            |_, _, _, &exact: &f64| exact,
-        )
-        .unwrap();
-        assert_eq!(exhaustive.len(), ladder.len());
-        for (e, l) in exhaustive.iter().zip(&ladder) {
-            assert_eq!(e.subcomm_size, l.subcomm_size);
-            assert_eq!(e.payload, l.payload);
-            assert_eq!(e.ranked[0].0, l.best.0);
-            assert_eq!(e.ranked[0].1.to_bits(), l.best.1.to_bits());
+        let mut cells = exhaustive.iter();
+        for &s in &spec.subcomm_sizes {
+            for &b in &spec.payload_sizes {
+                let ladder = rank_orders_pruned_ladder(
+                    &h,
+                    s,
+                    |sigma| cost(sigma, s, b),
+                    |_, &exact: &f64| exact * 0.5,
+                    |_, &exact: &f64| exact * 0.9,
+                    |_, &exact: &f64| exact,
+                )
+                .unwrap();
+                let e = cells.next().unwrap();
+                assert_eq!((e.subcomm_size, e.payload), (s, b));
+                assert_eq!(e.ranked[0].0, ladder.best.0);
+                assert_eq!(e.ranked[0].1.to_bits(), ladder.best.1.to_bits());
+            }
         }
     }
 
@@ -1343,25 +1131,42 @@ mod tests {
     }
 
     #[test]
-    fn sweep_pruned_serial_is_the_deterministic_baseline() {
+    fn one_payload_axis_sweep_equals_the_ladder() {
+        // cheap = cost / 2 orders the frontier exactly by cost, so the
+        // serial seed is already the global optimum and every later
+        // decision is taken against a fixed incumbent: the split is the
+        // same in every interleaving and must match between the entry
+        // points.
         let h = hydra();
         let cost = bb_cost(&h);
+        let payload = 1 << 12;
         let spec = SweepSpec {
             subcomm_sizes: vec![16],
-            payload_sizes: vec![1 << 10, 1 << 20],
+            payload_sizes: vec![payload],
         };
-        let a = sweep_pruned_serial(&h, &spec, |s, z, b| cost(s, z, b) * 0.5, &cost).unwrap();
-        let b = sweep_pruned_serial(&h, &spec, |s, z, b| cost(s, z, b) * 0.5, &cost).unwrap();
-        let parallel = sweep_pruned(&h, &spec, |s, z, b| cost(s, z, b) * 0.5, &cost).unwrap();
-        for ((x, y), p) in a.iter().zip(&b).zip(&parallel) {
-            // Serial runs are bit-for-bit repeatable, split included.
-            assert_eq!(x.stats, y.stats);
-            assert_eq!(x.ranked.len(), y.ranked.len());
-            // The parallel frontier agrees on winner and candidate total.
-            assert_eq!(x.best.0, p.best.0);
-            assert_eq!(x.best.1.to_bits(), p.best.1.to_bits());
-            assert_eq!(x.stats.candidates(), p.stats.candidates());
-        }
+        let axis = sweep_pruned_axis(
+            &h,
+            &spec,
+            |_, _| (),
+            |sigma, s, b, _| cost(sigma, s, b) * 0.5,
+            |sigma, s, b, _| cost(sigma, s, b),
+            |sigma, s, b, _| cost(sigma, s, b),
+        )
+        .unwrap();
+        let ladder = rank_orders_pruned_ladder(
+            &h,
+            16,
+            |_| (),
+            |sigma, _| cost(sigma, 16, payload) * 0.5,
+            |sigma, _| cost(sigma, 16, payload),
+            |sigma, _| cost(sigma, 16, payload),
+        )
+        .unwrap();
+        assert_eq!(axis.len(), 1);
+        assert_eq!(axis[0].best.0, ladder.best.0);
+        assert_eq!(axis[0].best.1.to_bits(), ladder.best.1.to_bits());
+        assert_eq!(axis[0].stats, ladder.stats);
+        assert!(ladder.stats.tight_pruned > 0, "{:?}", ladder.stats);
     }
 
     #[test]
@@ -1379,7 +1184,7 @@ mod tests {
             payload_sizes: vec![1],
         };
         let exhaustive = sweep(&h, &spec, tied).unwrap();
-        let pruned = sweep_pruned(&h, &spec, tied, tied).unwrap();
+        let pruned = single_bound_sweep(&h, &spec, tied, tied);
         assert_eq!(exhaustive[0].ranked[0].0, pruned[0].best.0);
         assert_eq!(
             exhaustive[0].ranked[0].1.to_bits(),

@@ -57,7 +57,7 @@ pub use contention::{
 };
 pub use fluid::{
     fluid_time, fluid_time_reference, fluid_time_with_stats, fluid_timeline, FluidMessageSpan,
-    FluidSim, FluidStats, FluidTimeline, SimPool,
+    FluidSim, FluidStats, FluidTimeline,
 };
 pub use memory::MemoryModel;
 pub use network::{ContentionMode, LinkParams, NetworkModel, RoundProfile};

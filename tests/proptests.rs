@@ -589,12 +589,13 @@ fn fluid_never_beats_a_constituent_lower_bound() {
     });
 }
 
-/// The branch-and-bound sweep returns byte-identical per-cell best orders
-/// to the exhaustive sweep on a Hydra-preset grid with the real
-/// microbenchmark cost — and actually prunes.
+/// The single-bound branch-and-bound sweep (the axis engine with a unit
+/// `prepare` and a tight rung that never prunes) returns byte-identical
+/// per-cell best orders to the exhaustive sweep on a Hydra-preset grid
+/// with the real microbenchmark cost — and actually prunes.
 #[test]
 fn pruned_sweep_matches_exhaustive_on_hydra_microbench() {
-    use mixed_radix_enum::core::order_search::{sweep, sweep_pruned, SweepSpec};
+    use mixed_radix_enum::core::order_search::{sweep, sweep_pruned_axis, SweepSpec};
     use mixed_radix_enum::simnet::presets::hydra_network;
     use mixed_radix_enum::simnet::schedule_lower_bound;
     use mixed_radix_enum::workloads::microbench::{Collective, Microbench};
@@ -628,7 +629,15 @@ fn pruned_sweep_matches_exhaustive_on_hydra_microbench() {
         schedule_lower_bound(&net, &Schedule::lockstep(&all))
     };
     let exhaustive = sweep(&machine, &spec, cost).expect("valid spec");
-    let pruned = sweep_pruned(&machine, &spec, bound, cost).expect("valid spec");
+    let pruned = sweep_pruned_axis(
+        &machine,
+        &spec,
+        |_, _| (),
+        |sigma, s, bytes, _| bound(sigma, s, bytes),
+        |_, _, _, _| f64::NEG_INFINITY,
+        |sigma, s, bytes, _| cost(sigma, s, bytes),
+    )
+    .expect("valid spec");
     assert_eq!(exhaustive.len(), pruned.len());
     let mut total_pruned = 0;
     for (e, p) in exhaustive.iter().zip(&pruned) {
@@ -817,12 +826,12 @@ fn fluid_timeline_is_consistent() {
     });
 }
 
-/// The branch-and-bound sweep with the fluid cost and the fluid bound
-/// returns byte-identical per-cell best orders to the exhaustive fluid
-/// sweep on a Hydra-preset grid — and actually prunes.
+/// The single-bound branch-and-bound sweep with the fluid cost and the
+/// fluid bound returns byte-identical per-cell best orders to the
+/// exhaustive fluid sweep on a Hydra-preset grid — and actually prunes.
 #[test]
 fn pruned_fluid_sweep_matches_exhaustive_on_hydra_microbench() {
-    use mixed_radix_enum::core::order_search::{sweep, sweep_pruned, SweepSpec};
+    use mixed_radix_enum::core::order_search::{sweep, sweep_pruned_axis, SweepSpec};
     use mixed_radix_enum::simnet::fluid_lower_bound;
     use mixed_radix_enum::simnet::presets::hydra_network;
     use mixed_radix_enum::workloads::microbench::{Collective, Microbench};
@@ -854,7 +863,15 @@ fn pruned_fluid_sweep_matches_exhaustive_on_hydra_microbench() {
         fluid_lower_bound(&net, &schedules_for(sigma, s, bytes))
     };
     let exhaustive = sweep(&machine, &spec, cost).expect("valid spec");
-    let pruned = sweep_pruned(&machine, &spec, bound, cost).expect("valid spec");
+    let pruned = sweep_pruned_axis(
+        &machine,
+        &spec,
+        |_, _| (),
+        |sigma, s, bytes, _| bound(sigma, s, bytes),
+        |_, _, _, _| f64::NEG_INFINITY,
+        |sigma, s, bytes, _| cost(sigma, s, bytes),
+    )
+    .expect("valid spec");
     assert_eq!(exhaustive.len(), pruned.len());
     let mut total_pruned = 0;
     for (e, p) in exhaustive.iter().zip(&pruned) {
@@ -1215,20 +1232,29 @@ fn congestion_bound_gaps_are_non_negative() {
     });
 }
 
-/// The parallel best-first branch-and-bound frontier is equivalent to
-/// the serial incumbent loop on random hierarchies: same winner order,
-/// byte-identical best cost, and the same candidate total, for an
-/// arbitrary admissible bound. (The evaluated/pruned *split* is
-/// interleaving-dependent by design and is not compared.)
+/// The branch-and-bound ladder agrees with the exhaustive ranking on
+/// random hierarchies: same winner order, byte-identical best cost, and
+/// every representative accounted for, for arbitrary admissible rungs.
+/// One-level hierarchies (one representative) and two-level ones (often
+/// two) are mixed in, so the engine's inline one-worker path runs too.
+/// (The evaluated/pruned *split* is interleaving-dependent by design and
+/// is not compared.)
 #[test]
-fn pruned_parallel_frontier_matches_serial_oracle() {
+fn pruned_ladder_matches_exhaustive_ranking() {
     use mixed_radix_enum::core::order_search::{
-        rank_orders_pruned, rank_orders_pruned_serial, spreadness,
+        rank_orders_by, rank_orders_pruned_ladder, representatives, spreadness,
     };
-    propcheck(24, 0xD0C0_0030, |rng| {
-        let (h, _) = arb_hierarchy_and_order(rng);
+    use std::cell::Cell;
+    let rep_counts_seen = [Cell::new(false), Cell::new(false), Cell::new(false)];
+    propcheck(48, 0xD0C0_0030, |rng| {
+        let h = match rng.gen_range(0usize..4) {
+            0 => Hierarchy::new(vec![rng.gen_range(2usize..9)]).expect("non-zero level"),
+            1 => Hierarchy::new(vec![rng.gen_range(2usize..5), rng.gen_range(2usize..5)])
+                .expect("non-zero levels"),
+            _ => arb_hierarchy(rng),
+        };
         let world = h.size();
-        if world < 4 || world % 2 != 0 {
+        if world < 2 || world % 2 != 0 {
             return;
         }
         let s = if world % 4 == 0 && rng.gen_bool(0.5) {
@@ -1239,29 +1265,43 @@ fn pruned_parallel_frontier_matches_serial_oracle() {
         if s < 2 {
             return;
         }
+        let n = representatives(&h, s).expect("valid size").len();
+        rep_counts_seen[n.min(3) - 1].set(true);
         // Deliberately coarse cost: rounding forces cost ties, so the
         // deterministic (cost, enumeration index) tie-break is exercised.
-        // Halving keeps the bound admissible while still pruning.
+        // Halving keeps the cheap rung admissible while still pruning;
+        // the tight rung is the exact cost.
         let cost =
             |sigma: &Permutation| (spreadness(&h, sigma, s).expect("valid order") * 4.0).round();
-        let bound = |sigma: &Permutation| cost(sigma) * 0.5;
-        let serial = rank_orders_pruned_serial(&h, s, bound, cost).unwrap();
-        let parallel = rank_orders_pruned(&h, s, bound, cost).unwrap();
+        let exhaustive = rank_orders_by(&h, s, cost).unwrap();
+        let pruned = rank_orders_pruned_ladder(
+            &h,
+            s,
+            cost,
+            |_, &c: &f64| c * 0.5,
+            |_, &c: &f64| c,
+            |_, &c: &f64| c,
+        )
+        .unwrap();
         assert_eq!(
-            serial.best.0.order, parallel.best.0.order,
+            exhaustive[0].0.order, pruned.best.0.order,
             "winner order must be identical"
         );
         assert_eq!(
-            serial.best.1.to_bits(),
-            parallel.best.1.to_bits(),
+            exhaustive[0].1.to_bits(),
+            pruned.best.1.to_bits(),
             "winner cost must be byte-identical"
         );
         assert_eq!(
-            serial.stats.candidates(),
-            parallel.stats.candidates(),
-            "candidate totals must agree"
+            pruned.stats.candidates(),
+            n as u64,
+            "every representative must be accounted for"
         );
     });
+    assert!(
+        rep_counts_seen.iter().all(Cell::get),
+        "cases must cover 1, 2 and more representatives"
+    );
 }
 
 /// The per-rail histogram bound **dominates** the aggregate bound on
